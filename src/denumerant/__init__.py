@@ -13,10 +13,10 @@ from .congruence import (
     Fiber,
     FiberIndex,
     Instance,
+    box_sum_histogram,
     build_fiber_index,
     fiber,
-    fiber_index_from_json,
-    fiber_index_to_json,
+    list_fibers,
     make_instance,
 )
 from .frobenius import (
@@ -80,15 +80,15 @@ __all__ = [
     "alpha",
     "bernoulli",
     "bernoulli_barnes",
+    "box_sum_histogram",
     "build_fiber_index",
     "faulhaber_sum",
     "fiber",
-    "fiber_index_from_json",
-    "fiber_index_to_json",
     "format_polynomial",
     "frobenius_general",
     "frobenius_pair",
     "is_zero",
+    "list_fibers",
     "make_instance",
     "p",
     "p_oracle",

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage error, 3 enumeration-box guard tripped,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -23,11 +22,9 @@ from fractions import Fraction
 from .congruence import (
     DEFAULT_MAX_BOX,
     BoxTooLargeError,
-    FiberIndex,
     Instance,
     build_fiber_index,
-    fiber_index_from_json,
-    fiber_index_to_json,
+    list_fibers,
     make_instance,
 )
 from .frobenius import frobenius_general, frobenius_pair
@@ -54,6 +51,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BOX = 3
 EXIT_MISMATCH = 4
+
+MAX_N_VALUES = 10**6  # most values one -n lo..hi range may hold
 
 _EVAL_METHODS = ("auto", "product", "stirling", "quasipoly", "popoviciu", "oracle")
 _POLYPART_METHODS = ("bernoulli", "box", "powersum", "barnes")
@@ -119,21 +118,22 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return a
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
+    lo_s, dots, hi_s = text.partition("..")
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if lo > hi:
-                raise UsageError(f"-n range has lo > hi: {text!r}")
-            ns = list(range(lo, hi + 1))
-        else:
-            ns = [int(text)]
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
     except ValueError:
         raise UsageError(f"-n expects an integer or lo..hi, got {text!r}")
-    if ns and ns[0] < 0:
+    if lo > hi:
+        raise UsageError(f"-n range has lo > hi: {text!r}")
+    if lo < 0:
         raise UsageError(f"-n values must be nonnegative, got {text!r}")
-    return ns
+    if hi - lo >= MAX_N_VALUES:
+        raise UsageError(
+            f"-n range holds {hi - lo + 1} values, more than the {MAX_N_VALUES} allowed: {text!r}"
+        )
+    return range(lo, hi + 1)
 
 
 def _parse_d_choice(text: str):
@@ -167,33 +167,6 @@ def _max_box(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fiber index cache
-
-def _cache_path(cache_dir: str, inst: Instance) -> str:
-    key = hashlib.sha256(f"{inst.a}|{inst.D}".encode()).hexdigest()[:20]
-    return os.path.join(cache_dir, f"fibers_{key}.json")
-
-
-def _load_or_build_index(inst: Instance, max_box: int, workers: int, cache_dir: str | None) -> FiberIndex:
-    if cache_dir:
-        path = _cache_path(cache_dir, inst)
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    index = fiber_index_from_json(json.load(fh))
-                if index.instance == inst:
-                    return index
-            except (ValueError, KeyError, json.JSONDecodeError):
-                pass  # stale or corrupt cache entry: rebuild below
-    index = build_fiber_index(inst, max_box, workers=workers)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(_cache_path(cache_dir, inst), "w") as fh:
-            json.dump(fiber_index_to_json(index), fh)
-    return index
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers: each returns (instance | None, result dict, exit code)
 
 def _cmd_eval(args):
@@ -218,18 +191,17 @@ def _cmd_eval(args):
     resolved = auto_method() if method == "auto" else method
     values = []
     if resolved == "oracle":
-        table = p_oracle_upto(inst.a, max(ns))
+        table = p_oracle_upto(inst.a, ns[-1])
         values = [(n, table[n]) for n in ns]
     elif resolved == "popoviciu":
         values = [(n, p_popoviciu(inst.a[0], inst.a[1], n)) for n in ns]
     elif resolved == "quasipoly":
-        index = _load_or_build_index(inst, max_box, args.workers, args.cache_dir)
-        qp = quasipoly(inst.a, index=index)
+        qp = quasipoly(inst.a, index=build_fiber_index(inst, max_box))
         values = [(n, p_quasipoly(qp, n)) for n in ns]
     else:
         fn = p_product if resolved == "product" else p_stirling
-        if len(ns) > 1 or args.cache_dir:
-            index = _load_or_build_index(inst, max_box, args.workers, args.cache_dir)
+        if len(ns) > 1:
+            index = build_fiber_index(inst, max_box)
             values = [(n, fn(inst.a, n, index=index)) for n in ns]
         else:
             values = [(n, fn(inst.a, n, inst.D, max_box=max_box)) for n in ns]
@@ -244,8 +216,7 @@ def _cmd_eval(args):
 
 def _cmd_quasipoly(args):
     inst = _make_instance(args)
-    index = _load_or_build_index(inst, _max_box(args), args.workers, args.cache_dir)
-    qp = quasipoly(inst.a, index=index)
+    qp = quasipoly(inst.a, index=build_fiber_index(inst, _max_box(args)))
     result = {
         "a": [_intstr(x) for x in inst.a],
         "D": _intstr(inst.D),
@@ -258,8 +229,7 @@ def _polypart_route(name: str, inst: Instance, args):
     if name == "bernoulli":
         return polypart_bernoulli(inst.a)
     if name == "box":
-        index = _load_or_build_index(inst, _max_box(args), args.workers, args.cache_dir)
-        return polypart_box_average(inst.a, index=index)
+        return polypart_box_average(inst.a, inst.D, max_box=_max_box(args))
     if name == "powersum":
         return polypart_from_residues(residues_powersum(inst.a, inst.D))
     return polypart_from_residues(residues_bernoulli_barnes(inst.a))
@@ -330,8 +300,14 @@ def _cmd_frobenius(args):
 
 def _cmd_fibers(args):
     inst = _make_instance(args)
-    index = _load_or_build_index(inst, _max_box(args), args.workers, args.cache_dir)
-    return inst, fiber_index_to_json(index), EXIT_OK
+    buckets = list_fibers(inst, _max_box(args))
+    result = {
+        "instance": _instance_json(inst),
+        "fibers": {
+            _intstr(v): [[_intstr(j) for j in t] for t in tuples] for v, tuples in buckets.items()
+        },
+    }
+    return inst, result, EXIT_OK
 
 
 def _cmd_selfcheck(args):
@@ -354,8 +330,7 @@ def _bench_points(n_max: int, count: int) -> list[int]:
 
 def _cmd_bench(args):
     inst = _make_instance(args)
-    ns = _parse_n_range(args.n)
-    n_max = max(ns)
+    n_max = _parse_n_range(args.n)[-1]
     points = _bench_points(n_max, args.points)
     max_box = _max_box(args)
 
@@ -475,16 +450,11 @@ def _plain_lines(command: str, instance: dict | None, result: dict) -> list[str]
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_instance_args(sp, with_workers=True, with_cache=True):
+def _add_instance_args(sp):
     sp.add_argument("-a", required=True, help="comma-separated positive weights, e.g. 3,5")
     sp.add_argument("-d", default="lcm", help="period choice: lcm | product | explicit:M")
     sp.add_argument("--max-box", type=int, default=None,
                     help=f"enumeration guard (default {DEFAULT_MAX_BOX} or DENUMERANT_MAX_BOX)")
-    if with_workers:
-        sp.add_argument("--workers", type=int, default=1, help="threads for the box scan")
-    if with_cache:
-        sp.add_argument("--cache-dir", default=None,
-                        help="directory for persisted fiber indexes, keyed by (a, D)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -512,13 +482,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_polypart)
 
     sp = sub.add_parser("residues", help="Dirichlet-series residues R_1..R_r")
-    _add_instance_args(sp, with_workers=False, with_cache=False)
+    _add_instance_args(sp)
     sp.add_argument("--method", choices=_RESIDUE_METHODS, default="barnes")
     sp.add_argument("--check", action="store_true", help="compare both routes; exit 4 on mismatch")
     sp.set_defaults(handler=_cmd_residues)
 
     sp = sub.add_parser("frobenius", help="Frobenius number (gcd must be 1)")
-    _add_instance_args(sp, with_workers=False, with_cache=False)
+    _add_instance_args(sp)
     sp.set_defaults(handler=_cmd_frobenius)
 
     sp = sub.add_parser("fibers", help="residue-bucketed box enumeration")
@@ -535,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_selfcheck)
 
     sp = sub.add_parser("bench", help="time the evaluation routes against each other")
-    _add_instance_args(sp, with_workers=False, with_cache=False)
+    _add_instance_args(sp)
     sp.add_argument("-n", required=True, help="largest n to benchmark (or lo..hi)")
     sp.add_argument("--methods", default=None, help="comma-separated subset of the eval methods")
     sp.add_argument("--points", type=int, default=5, help="number of sample points in 0..n")

@@ -4,18 +4,22 @@ An :class:`Instance` fixes a weight tuple ``a`` together with a common
 multiple ``D`` of its entries.  The box of all integer tuples
 ``(j_1, ..., j_r)`` with ``0 <= j_i <= D/a_i - 1`` is partitioned into
 *fibers*: one bucket per residue of ``a_1 j_1 + ... + a_r j_r`` modulo D.
-Every counting formula downstream is a sum over one fiber or over the
-whole box, so this module owns the enumeration and its size guard.
+Every counting formula downstream needs only the weighted sums in a fiber
+and how many tuples share each, so the core structure is the box-sum
+histogram H(z) = prod_i (1 - z^D)/(1 - z^{a_i}): its coefficient at z^s
+counts the box tuples of weighted sum s, and every sum is below r*D, so a
+fiber is at most r (sum, count) pairs.  This module builds H, splits it
+into fibers, and owns the size guard.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import sub
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 DEFAULT_MAX_BOX = 10**8
 
@@ -29,11 +33,10 @@ __all__ = [
     "Fiber",
     "FiberIndex",
     "make_instance",
+    "box_sum_histogram",
     "build_fiber_index",
     "fiber",
-    "iter_box_sums",
-    "fiber_index_to_json",
-    "fiber_index_from_json",
+    "list_fibers",
 ]
 
 
@@ -72,31 +75,32 @@ class Instance:
 
 @dataclass(frozen=True)
 class Fiber:
-    """All box tuples whose weighted sum is congruent to `residue` mod D.
+    """The box tuples whose weighted sum is congruent to `residue` mod D,
+    grouped by sum: `counts[i]` tuples have weighted sum `sums[i]`.
 
-    `tuples` is sorted lexicographically; `sums[i]` is the weighted sum of
-    `tuples[i]`.  Each sum is < r*D by construction.
+    `sums` is strictly ascending and every count is positive.  Each sum is
+    < r*D, so a fiber holds at most r pairs; `len()` is the tuple count.
     """
 
     residue: int
-    tuples: tuple[tuple[int, ...], ...]
     sums: tuple[int, ...]
+    counts: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return sum(self.counts)
 
     @property
     def is_empty(self) -> bool:
-        return not self.tuples
+        return not self.sums
 
     @property
     def min_sum(self) -> int | None:
-        return min(self.sums) if self.sums else None
+        return self.sums[0] if self.sums else None
 
 
 @dataclass(frozen=True)
 class FiberIndex:
-    """Complete bucketing of the box by residue; immutable once built.
+    """Every fiber of the box, keyed by residue; immutable once built.
 
     `fibers` maps residue -> Fiber for nonempty fibers only (exactly the
     residues divisible by gcd(a)).  Use :meth:`fiber` to query any residue.
@@ -152,75 +156,55 @@ def _guard(inst: Instance, max_box: int) -> None:
         raise BoxTooLargeError(box, max_box)
 
 
-def _scan_rows(inst: Instance, rows: range) -> dict[int, list[tuple[tuple[int, ...], int]]]:
-    """Bucket the sub-box with j_1 in `rows` by residue of the weighted sum."""
-    a, d = inst.a, inst.D
-    lengths = inst.axis_lengths
-    out: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    if len(a) == 1:
-        a0 = a[0]
-        for j0 in rows:
-            s = a0 * j0
-            out.setdefault(s % d, []).append(((j0,), s))
-        return out
-    mid_a = a[1:-1]
-    mid_ranges = [range(n) for n in lengths[1:-1]]
-    last_a = a[-1]
-    last_len = lengths[-1]
-    for j0 in rows:
-        base0 = a[0] * j0
-        for mid in itertools.product(*mid_ranges):
-            head = (j0, *mid)
-            s = base0
-            for am, jm in zip(mid_a, mid):
-                s += am * jm
-            for jr in range(last_len):
-                out.setdefault(s % d, []).append((head + (jr,), s))
-                s += last_a
-    return out
+def box_sum_histogram(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> list[int]:
+    """Coefficients h of H(z) = prod_i (1 - z^{D/g})/(1 - z^{a_i/g}), the
+    box-sum histogram of the gcd-reduced instance: h[k] box tuples have
+    weighted sum g*k.
 
-
-def build_fiber_index(
-    inst: Instance, max_box: int = DEFAULT_MAX_BOX, workers: int = 1
-) -> FiberIndex:
-    """Enumerate the whole box and bucket every tuple by residue.
-
-    With workers > 1 the j_1 range is split into contiguous chunks processed
-    by a thread pool; chunks are merged in j_1 order and each fiber gets a
-    final lexicographic sort, so the result is identical for any worker count.
+    Dividing out g = gcd(a) keeps every axis length D/a_i, so the box and its
+    tuple counts are unchanged while len(h) = sum_i (D - a_i)/g + 1, below
+    r*D/g for r >= 2 and so below r times the box size (box >= D/g).  Each
+    factor is one running sum with stride a_i/g, windowed to the axis length.
+    The guard applies to the nominal box size.
     """
     _guard(inst, max_box)
-    rows = range(inst.axis_lengths[0])
-    if workers <= 1 or len(rows) < 2:
-        parts = [_scan_rows(inst, rows)]
-    else:
-        nchunks = min(workers, len(rows))
-        step = -(-len(rows) // nchunks)
-        chunks = [rows[i : i + step] for i in range(0, len(rows), step)]
-        with ThreadPoolExecutor(max_workers=nchunks) as pool:
-            parts = list(pool.map(lambda c: _scan_rows(inst, c), chunks))
-    merged: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for part in parts:
-        for residue, items in part.items():
-            merged.setdefault(residue, []).extend(items)
+    g = inst.g
+    h = [1]
+    for ai, length in zip(inst.a, inst.axis_lengths):
+        if length == 1:  # a_i = D: the factor is 1, and its stride would be D/g
+            continue
+        step = ai // g
+        h.extend([0] * (step * (length - 1)))
+        for start in range(step):
+            run = list(itertools.accumulate(h[start::step]))
+            h[start::step] = map(sub, run, itertools.chain(itertools.repeat(0, length), run))
+    return h
+
+
+def build_fiber_index(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> FiberIndex:
+    """Split the box-sum histogram into one fiber per residue class mod D."""
+    h = box_sum_histogram(inst, max_box)
+    g = inst.g
+    period = inst.D // g
     fibers = {}
-    for residue in sorted(merged):
-        items = sorted(merged[residue])
-        fibers[residue] = Fiber(
-            residue=residue,
-            tuples=tuple(t for t, _ in items),
-            sums=tuple(s for _, s in items),
+    for v in range(period):
+        column = h[v::period]
+        fibers[g * v] = Fiber(
+            residue=g * v,
+            sums=tuple(g * (v + i * period) for i, c in enumerate(column) if c),
+            counts=tuple(c for c in column if c),
         )
     return FiberIndex(instance=inst, fibers=fibers)
 
 
 def fiber(inst: Instance, n: int, max_box: int = DEFAULT_MAX_BOX) -> Fiber:
-    """The single fiber of residue n mod D, without building the full index.
+    """The single fiber of residue n mod D, without building the histogram.
 
-    Only matching tuples are kept.  One axis is solved by congruence instead
-    of being enumerated (a_i j_i must hit a prescribed residue class, which
-    pins j_i), cutting the scan cost to box/max_i(D/a_i).  The guard still
-    applies to the nominal box size.
+    The box is scanned with one axis solved by congruence instead of being
+    enumerated (a_i j_i must hit a prescribed residue class, which pins j_i),
+    cutting the scan cost to box/max_i(D/a_i); only the weighted sums are
+    counted.  Memory stays O(r) where a histogram would need O(r*D/g).  The
+    guard still applies to the nominal box size.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -233,94 +217,33 @@ def fiber(inst: Instance, n: int, max_box: int = DEFAULT_MAX_BOX) -> Fiber:
     lengths = inst.axis_lengths
     solved = max(range(len(a)), key=lambda i: lengths[i])
     a_solved = a[solved]
-    other_idx = [i for i in range(len(a)) if i != solved]
-    other_ranges = [range(lengths[i]) for i in other_idx]
-    other_a = [a[i] for i in other_idx]
-    items = []
+    other_ranges = [range(lengths[i]) for i in range(len(a)) if i != solved]
+    other_a = [a[i] for i in range(len(a)) if i != solved]
+    tally: dict[int, int] = {}
     for rest in itertools.product(*other_ranges):
         partial = 0
         for ai, ji in zip(other_a, rest):
             partial += ai * ji
         need = (target - partial) % d
-        if need % a_solved:
-            continue
-        js = need // a_solved
-        full = rest[:solved] + (js,) + rest[solved:]
-        items.append((full, partial + a_solved * js))
-    items.sort()
-    return Fiber(
-        residue=target,
-        tuples=tuple(t for t, _ in items),
-        sums=tuple(s for _, s in items),
-    )
+        if need % a_solved == 0:
+            s = partial + need
+            tally[s] = tally.get(s, 0) + 1
+    sums = tuple(sorted(tally))
+    return Fiber(residue=target, sums=sums, counts=tuple(tally[s] for s in sums))
 
 
-def iter_box_sums(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> Iterator[int]:
-    """Stream the weighted sum of every box tuple (lexicographic order)."""
-    _guard(inst, max_box)
-    a = inst.a
-    lengths = inst.axis_lengths
-    if len(a) == 1:
-        a0 = a[0]
-        for j0 in range(lengths[0]):
-            yield a0 * j0
-        return
-    head_ranges = [range(n) for n in lengths[:-1]]
-    head_a = a[:-1]
-    last_a = a[-1]
-    last_len = lengths[-1]
-    for head in itertools.product(*head_ranges):
-        s = 0
-        for ai, ji in zip(head_a, head):
-            s += ai * ji
-        for _ in range(last_len):
-            yield s
-            s += last_a
+def list_fibers(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> dict[int, list[tuple[int, ...]]]:
+    """Every box tuple, bucketed by the residue of its weighted sum mod D.
 
-
-def fiber_index_to_json(index: FiberIndex) -> dict:
-    """JSON-ready dict: instance echo plus residue -> list of box tuples.
-
-    All integers are rendered as decimal strings so consumers never face
-    64-bit truncation; sums are recomputed on load.
+    Residues ascend and each bucket lists its tuples lexicographically.  This
+    walks the whole box; counting needs only :func:`build_fiber_index`.
     """
-    inst = index.instance
-    return {
-        "instance": {
-            "a": [str(x) for x in inst.a],
-            "D": str(inst.D),
-            "g": str(inst.g),
-        },
-        "fibers": {
-            str(res): [[str(j) for j in t] for t in f.tuples]
-            for res, f in index.fibers.items()
-        },
-    }
-
-
-def fiber_index_from_json(data: dict) -> FiberIndex:
-    """Inverse of :func:`fiber_index_to_json`, with consistency checks."""
-    raw = data["instance"]
-    a = tuple(int(x) for x in raw["a"])
-    inst = make_instance(a, int(raw["D"]))
-    if inst.g != int(raw["g"]):
-        raise ValueError(f"inconsistent gcd in serialized index: {raw}")
-    fibers = {}
-    for key, tuples in data["fibers"].items():
-        residue = int(key)
-        items = []
-        for t in tuples:
-            jt = tuple(int(j) for j in t)
-            if len(jt) != inst.r:
-                raise ValueError(f"tuple {jt} has wrong arity for {a}")
-            s = sum(ai * ji for ai, ji in zip(a, jt))
-            if s % inst.D != residue:
-                raise ValueError(f"tuple {jt} does not lie in fiber {residue}")
-            items.append((jt, s))
-        items.sort()
-        fibers[residue] = Fiber(
-            residue=residue,
-            tuples=tuple(t for t, _ in items),
-            sums=tuple(s for _, s in items),
-        )
-    return FiberIndex(instance=inst, fibers=fibers)
+    _guard(inst, max_box)
+    a, d = inst.a, inst.D
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for t in itertools.product(*[range(n) for n in inst.axis_lengths]):
+        s = 0
+        for ai, ji in zip(a, t):
+            s += ai * ji
+        buckets.setdefault(s % d, []).append(t)
+    return dict(sorted(buckets.items()))

@@ -2,8 +2,9 @@
 
 The general computation works per residue class mod D: within the class of
 v, the integers n with p_a(n) > 0 are exactly those >= the smallest weighted
-sum occurring in the fiber of v, so the largest non-representable member of
-the class is (minimum fiber sum) - D.  Taking the maximum over classes gives
+sum occurring in the fiber of v (the first nonzero entry of the box-sum
+histogram in that class), so the largest non-representable member of the
+class is (minimum fiber sum) - D.  Taking the maximum over classes gives
 the Frobenius number; a value of -1 means every n >= 0 is representable
 (the tuple contains 1).
 """

@@ -13,6 +13,12 @@ computes it by several independent routes that must agree exactly:
 * :func:`quasipoly`      -- the full degree-by-residue coefficient table,
                             evaluated by :func:`p_quasipoly`.
 * :func:`p_popoviciu`    -- the O(log) two-weight closed form.
+
+A fiber enters every fiber route as at most r (weighted sum, tuple count)
+pairs, so a term is computed once per distinct sum and scaled by its count.
+Without a prebuilt index, a point query scans its one fiber
+(:func:`denumerant.congruence.fiber`); with one, it reads the fiber split
+from the box-sum histogram.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .congruence import (
     DEFAULT_MAX_BOX,
@@ -120,35 +126,37 @@ def p_product(
     max_box: int = DEFAULT_MAX_BOX,
 ) -> int:
     """p_a(n) as (1/(r-1)!) * sum over the fiber of n of the rising factorial
-    of (n - a.j)/D.  Pass a prebuilt `index` to amortize fiber construction."""
+    of (n - a.j)/D, one term per distinct weighted sum times its tuple count.
+    Pass a prebuilt `index` to amortize fiber construction."""
     _check_n(n)
     inst, fib = _resolve_fiber(a, n, d_choice, index, max_box)
     r, d = inst.r, inst.D
     total = 0
-    for s in fib.sums:
-        total += rising_factorial_eval((n - s) // d, r)
+    for s, count in zip(fib.sums, fib.counts):
+        total += count * rising_factorial_eval((n - s) // d, r)
     return _exact_div(total, factorial(r - 1), f"p_product{tuple(a), n}")
 
 
-def _stirling_row(r: int, d: int, sums: Sequence[int]) -> list[int]:
-    """Integer accumulators c[m] = sum over fiber sums s of
+def _stirling_row(r: int, d: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Integer accumulators c[m] = sum over (sum s, count) pairs of count *
     sum_{k=m}^{r-1} bracket[k] (-1)^{k-m} C(k,m) D^{r-1-k} s^{k-m}.
 
-    Dividing c[m] by D^{r-1} (r-1)! gives the degree-m quasi-polynomial
-    coefficient for this fiber's residue class."""
+    Over one fiber, c[m] / (D^{r-1} (r-1)!) is the degree-m quasi-polynomial
+    coefficient of that fiber's residue class; over the whole box,
+    c[m] / (D^r (r-1)!) is the degree-m coefficient of the polynomial part."""
     bracket = rising_factorial_coeffs(r)
-    dpow = [d ** (r - 1 - k) for k in range(r)]
+    # kernel[m][j] multiplies s^j in the degree-m accumulator
+    kernel = [
+        [(-1) ** j * bracket[m + j] * comb(m + j, m) * d ** (r - 1 - m - j) for j in range(r - m)]
+        for m in range(r)
+    ]
     row = [0] * r
-    for s in sums:
-        spow = [1] * r
-        for i in range(1, r):
-            spow[i] = spow[i - 1] * s
-        for m in range(r):
+    for s, count in pairs:
+        for m, coeffs in enumerate(kernel):
             acc = 0
-            for k in range(m, r):
-                term = bracket[k] * comb(k, m) * dpow[k] * spow[k - m]
-                acc = acc - term if (k - m) & 1 else acc + term
-            row[m] += acc
+            for c in reversed(coeffs):
+                acc = acc * s + c
+            row[m] += count * acc
     return row
 
 
@@ -168,7 +176,7 @@ def p_stirling(
     _check_n(n)
     inst, fib = _resolve_fiber(a, n, d_choice, index, max_box)
     r, d = inst.r, inst.D
-    row = _stirling_row(r, d, fib.sums)
+    row = _stirling_row(r, d, zip(fib.sums, fib.counts))
     total = 0
     npow = 1
     for m in range(r):
@@ -195,7 +203,7 @@ def quasipoly(
     scale = d ** (r - 1) * factorial(r - 1)
     table = [[0] * d for _ in range(r)]
     for v, fib in index.fibers.items():
-        row = _stirling_row(r, d, fib.sums)
+        row = _stirling_row(r, d, zip(fib.sums, fib.counts))
         for m in range(r):
             table[m][v] = row[m]
     coeffs = tuple(

@@ -5,7 +5,9 @@ after averaging the periodic coefficients over a period), and R_m is the
 residue at s = m of the Dirichlet series sum p_a(n)/n^s.  The two are tied
 together by P_a(n) = R_r n^{r-1} + ... + R_2 n + R_1, and each side is
 computable by two independent formulas, giving four cross-checkable routes
-to the same polynomial.
+to the same polynomial.  The box-average route sums over the box-sum
+histogram of :mod:`denumerant.congruence`, one term per distinct weighted
+sum, with the Stirling kernel that also builds the quasi-polynomial table.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from .congruence import (
     DEFAULT_MAX_BOX,
     DChoice,
     FiberIndex,
-    iter_box_sums,
+    box_sum_histogram,
     make_instance,
 )
 from .numbers import alpha, bernoulli, bernoulli_barnes, iter_compositions, rising_factorial_coeffs
+from .partition import _stirling_row
 
 __all__ = [
     "RationalPolynomial",
@@ -94,31 +97,22 @@ def polypart_box_average(
     """P_a(n) as the box average: (1/(D(r-1)!)) times the sum over the WHOLE
     box of the rising factorial of (n - a.j)/D, expanded symbolically in n.
 
-    The expansion substitutes x = (n - s)/D into the rising-factorial
-    coefficient form, so the result is exact; no interpolation happens.
+    The sum runs over the box-sum histogram, one Stirling-kernel term per
+    distinct weighted sum times its tuple count (the same kernel as
+    :func:`quasipoly`, whose column means this average equals), so the
+    result is exact; no interpolation happens.
     """
     if index is not None:
         if index.instance.a != tuple(a):
             raise ValueError(f"index was built for {index.instance.a}, not {tuple(a)}")
         inst = index.instance
-        sums = (s for f in index.fibers.values() for s in f.sums)
+        pairs = (pair for f in index.fibers.values() for pair in zip(f.sums, f.counts))
     else:
         inst = make_instance(a, d_choice)
-        sums = iter_box_sums(inst, max_box)
+        g = inst.g
+        pairs = ((g * k, c) for k, c in enumerate(box_sum_histogram(inst, max_box)) if c)
     r, d = inst.r, inst.D
-    bracket = rising_factorial_coeffs(r)
-    dpow = [d ** (r - 1 - k) for k in range(r)]
-    acc = [0] * r
-    for s in sums:
-        spow = [1] * r
-        for i in range(1, r):
-            spow[i] = spow[i - 1] * s
-        for m in range(r):
-            val = 0
-            for k in range(m, r):
-                term = bracket[k] * comb(k, m) * dpow[k] * spow[k - m]
-                val = val - term if (k - m) & 1 else val + term
-            acc[m] += val
+    acc = _stirling_row(r, d, pairs)
     scale = d**r * factorial(r - 1)
     coeffs = tuple(Fraction(c, scale) for c in acc)
     _leading_check(coeffs, inst.a, "polypart_box_average")

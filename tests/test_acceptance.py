@@ -6,12 +6,15 @@ budget so runs are deterministic and fit their time windows; criterion 6 adds
 hand-picked instances with boxes up to 10^6 tuples.
 """
 
+import itertools
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 from denumerant import (
+    box_sum_histogram,
     build_fiber_index,
     frobenius_general,
     frobenius_pair,
@@ -133,7 +136,7 @@ def test_criterion_05_residue_cross_check():
 
 
 def test_criterion_06_fiber_cardinality():
-    with criterion(6, "every fiber has g*D^(r-1)/prod(a) tuples when g | v, else 0 (boxes up to 10^6)"):
+    with criterion(6, "every fiber has g*D^(r-1)/prod(a) tuples when g | v, else 0; histogram = enumeration (boxes up to 10^6)"):
         pool = sample_instances(60, max_r=4, max_entry=12, seed=106, box_budget=20_000)
         curated = [(3, 4, 9, 10), (2, 3, 4, 5), (6, 10, 15), (8, 9, 12), (2, 2, 2, 2)]
         for a in pool + curated:
@@ -145,6 +148,14 @@ def test_criterion_06_fiber_cardinality():
                 want = expect if v % inst.g == 0 else 0
                 assert len(index.fiber(v)) == want, (a, v)
             assert index.total_tuples == inst.box_size, a
+        for a in curated:  # the histogram against a walk of the whole box
+            inst = make_instance(a)
+            walked = Counter(
+                sum(ai * ji for ai, ji in zip(inst.a, j))
+                for j in itertools.product(*[range(n) for n in inst.axis_lengths])
+            )
+            h = box_sum_histogram(inst)
+            assert Counter({inst.g * k: c for k, c in enumerate(h) if c}) == walked, a
 
 
 def test_criterion_07_frobenius():

@@ -1,4 +1,4 @@
-"""CLI envelope behavior: schema validity, exit codes, caching, plain mode."""
+"""CLI envelope behavior: schema validity, exit codes, plain mode."""
 
 import json
 from importlib.resources import files
@@ -83,6 +83,14 @@ class TestEval:
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "eval", "-a", "3,5", "-n", "9..2")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    @pytest.mark.parametrize("span", [f"5..{5 + cli.MAX_N_VALUES}", f"0..{10**40}"])
+    def test_range_too_long_is_usage_error(self, capsys, command, span):
+        # rejected from lo and hi alone; 10^40 values could not be listed at all
+        code, out, err = run_cli(capsys, command, "-a", "3,5", "-n", span)
+        assert (code, out) == (2, "")
+        assert "values" in err
 
     def test_box_guard_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -172,22 +180,6 @@ class TestFibers:
         fibers = env["result"]["fibers"]
         assert set(fibers) == {"0", "1", "2", "3", "4", "5"}
         assert all(len(tuples) == 1 for tuples in fibers.values())
-
-    def test_cache_round_trip(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache")
-        _, first = run_json(capsys, "fibers", "-a", "3,5", "--cache-dir", cache)
-        cached_files = list((tmp_path / "cache").glob("fibers_*.json"))
-        assert len(cached_files) == 1
-        _, second = run_json(capsys, "fibers", "-a", "3,5", "--cache-dir", cache)
-        assert first["result"] == second["result"]
-
-    def test_corrupt_cache_is_rebuilt(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        _, first = run_json(capsys, "fibers", "-a", "3,5", "--cache-dir", str(cache))
-        for f in cache.glob("fibers_*.json"):
-            f.write_text("{not json")
-        _, second = run_json(capsys, "fibers", "-a", "3,5", "--cache-dir", str(cache))
-        assert first["result"] == second["result"]
 
 
 class TestSelfcheck:

@@ -1,6 +1,7 @@
-"""Box enumeration and fiber bucketing."""
+"""Box-sum histogram, fiber bucketing, and the enumeration that checks them."""
 
 import itertools
+from collections import Counter
 from math import prod
 
 import pytest
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 
 from denumerant import (
     BoxTooLargeError,
+    Fiber,
+    box_sum_histogram,
     build_fiber_index,
     fiber,
-    fiber_index_from_json,
-    fiber_index_to_json,
+    list_fibers,
     make_instance,
+    p,
+    p_oracle,
+    p_product,
 )
-from denumerant.congruence import iter_box_sums
 
 weights = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3).map(tuple)
 
@@ -57,9 +61,11 @@ class TestBuildFiberIndex:
         }
 
     def test_point_box(self):
-        index = build_fiber_index(make_instance((1, 1)))
+        inst = make_instance((1, 1))
+        index = build_fiber_index(inst)
         assert index.residues() == (0,)
-        assert index.fiber(0).tuples == ((0, 0),)
+        assert index.fiber(0) == Fiber(0, (0,), (1,))
+        assert list_fibers(inst) == {0: [(0, 0)]}
 
     def test_3_5_residue_7(self):
         index = build_fiber_index(make_instance((3, 5)))
@@ -74,13 +80,22 @@ class TestBuildFiberIndex:
         assert err.value.box_size == 6
         assert "6" in str(err.value)
 
-    def test_worker_count_does_not_change_result(self):
-        inst = make_instance((4, 6, 9))
-        one = build_fiber_index(inst, workers=1)
-        for workers in (2, 3, 7):
-            other = build_fiber_index(inst, workers=workers)
-            assert other.instance == one.instance
-            assert dict(other.fibers) == dict(one.fibers)
+    def test_large_gcd_is_divided_out(self):
+        # D = 1.5e13 but the reduced instance (3, 5) has period 15: a histogram
+        # built without dividing out g would need about 1.6e13 entries
+        a = (3 * 10**12, 5 * 10**12)
+        g = 10**12
+        inst = make_instance(a)
+        assert len(box_sum_histogram(inst)) == 23  # (15 - 3) + (15 - 5) + 1
+        index = build_fiber_index(inst)
+        assert index.total_tuples == inst.box_size == 15
+        assert len(index.fibers) == 15
+        for n in range(6):
+            assert p(a, n) == p_product(a, n, index=index) == p_oracle(a, n)
+        for m in range(40):
+            want = p_oracle((3, 5), m)
+            assert p(a, g * m) == p_product(a, g * m, index=index) == want, m
+            assert index.fiber(g * m) == fiber(inst, g * m)
 
     @settings(max_examples=40, deadline=None)
     @given(weights)
@@ -96,8 +111,7 @@ class TestBuildFiberIndex:
     @given(weights)
     def test_partition_law(self, a):
         inst = make_instance(a)
-        index = build_fiber_index(inst)
-        seen = sorted(t for f in index.fibers.values() for t in f.tuples)
+        seen = sorted(t for ts in list_fibers(inst).values() for t in ts)
         box = sorted(itertools.product(*[range(n) for n in inst.axis_lengths]))
         assert seen == box
 
@@ -106,22 +120,32 @@ class TestBuildFiberIndex:
     def test_fiber_invariants(self, a):
         inst = make_instance(a)
         index = build_fiber_index(inst)
+        listing = list_fibers(inst)
+        assert tuple(listing) == index.residues()
         bound = inst.r * inst.D
-        for v, f in index.fibers.items():
-            assert list(f.tuples) == sorted(f.tuples)
-            for t, s in zip(f.tuples, f.sums):
-                assert s == sum(ai * ji for ai, ji in zip(inst.a, t))
-                assert s % inst.D == v
-                assert s < bound
+        for v, tuples in listing.items():
+            assert tuples == sorted(tuples)
+            sums = [sum(ai * ji for ai, ji in zip(inst.a, t)) for t in tuples]
+            assert all(s % inst.D == v and s < bound for s in sums)
+            tally = Counter(sums)
+            f = index.fiber(v)
+            assert f.sums == tuple(sorted(tally))
+            assert f.counts == tuple(tally[s] for s in f.sums)
+            assert len(f.sums) <= inst.r
 
 
 class TestSingleFiber:
     def test_examples(self):
-        f = fiber(make_instance((2, 3)), 12)
-        assert (f.residue, f.tuples, f.sums) == (0, ((0, 0),), (0,))
+        inst = make_instance((2, 3))
+        f = fiber(inst, 12)
+        assert (f.residue, f.sums, f.counts) == (0, (0,), (1,))
+        assert list_fibers(inst)[0] == [(0, 0)]
         assert fiber(make_instance((4, 6)), 5).is_empty
-        f = fiber(make_instance((3, 5)), 8)
-        assert (f.tuples, f.sums) == (((1, 1),), (8,))
+        assert 5 not in list_fibers(make_instance((4, 6)))
+        inst = make_instance((3, 5))
+        f = fiber(inst, 8)
+        assert (f.sums, f.counts) == ((8,), (1,))
+        assert list_fibers(inst)[8] == [(1, 1)]
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
@@ -139,16 +163,24 @@ class TestSingleFiber:
         assert fiber(inst, n) == build_fiber_index(inst).fiber(n)
 
 
-class TestBoxSumStream:
+class TestBoxSumHistogram:
     @settings(max_examples=30, deadline=None)
-    @given(weights)
-    def test_matches_product_enumeration(self, a):
-        inst = make_instance(a)
-        want = [
+    @given(weights, st.integers(min_value=1, max_value=2))
+    def test_matches_product_enumeration(self, a, multiple):
+        inst = make_instance(a, multiple * make_instance(a).D)
+        want = Counter(
             sum(ai * ji for ai, ji in zip(inst.a, j))
             for j in itertools.product(*[range(n) for n in inst.axis_lengths])
-        ]
-        assert list(iter_box_sums(inst)) == want
+        )
+        h = box_sum_histogram(inst)
+        assert Counter({inst.g * k: c for k, c in enumerate(h) if c}) == want
+        assert len(h) == sum(inst.D - ai for ai in inst.a) // inst.g + 1
+        if inst.r > 1:
+            assert len(h) < inst.r * inst.D // inst.g
+
+    def test_guard(self):
+        with pytest.raises(BoxTooLargeError):
+            box_sum_histogram(make_instance((2, 3)), max_box=5)
 
 
 class TestImmutability:
@@ -164,25 +196,3 @@ class TestImmutability:
         f = fiber(inst, 0)
         with pytest.raises(AttributeError):
             f.sums = ()
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        index = build_fiber_index(make_instance((4, 6, 9)))
-        blob = fiber_index_to_json(index)
-        back = fiber_index_from_json(blob)
-        assert back.instance == index.instance
-        assert dict(back.fibers) == dict(index.fibers)
-
-    def test_all_strings(self):
-        blob = fiber_index_to_json(build_fiber_index(make_instance((3, 5))))
-        assert all(isinstance(x, str) for x in blob["instance"]["a"])
-        assert isinstance(blob["instance"]["D"], str)
-        some_fiber = next(iter(blob["fibers"].values()))
-        assert all(isinstance(j, str) for t in some_fiber for j in t)
-
-    def test_rejects_corrupt_tuples(self):
-        blob = fiber_index_to_json(build_fiber_index(make_instance((3, 5))))
-        blob["fibers"]["0"] = [["1", "1"]]  # sum 8 does not lie in residue 0
-        with pytest.raises(ValueError):
-            fiber_index_from_json(blob)

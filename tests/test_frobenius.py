@@ -95,7 +95,7 @@ class TestAgreement:
             assert (max(gaps) if gaps else -1) == general.value
 
     def test_zero_after_frobenius(self):
-        for a in [(3, 5), (3, 4, 5), (5, 7, 9)]:
+        for a in [(3, 5), (3, 4, 5), (5, 7, 9), (2, 3, 5, 7), (6, 10, 15)]:
             inst = make_instance(a)
             value = frobenius_general(a).value
             table = p_oracle_upto(a, value + inst.D)

@@ -142,6 +142,20 @@ class TestRouteAgreement:
                 assert p_stirling(a, n, index=index) == oracle[n]
                 assert p_quasipoly(qp, n) == oracle[n]
 
+    def test_index_routes_on_a_large_box(self):
+        # 9 261 000 box tuples, split into 210 fibers of 44 100 tuples each
+        a = (2, 3, 5, 7)
+        index = build_fiber_index(make_instance(a))
+        assert index.total_tuples == 9_261_000
+        assert {len(f) for f in index.fibers.values()} == {44_100}
+        qp = quasipoly(a, index=index)
+        oracle = p_oracle_upto(a, 700)
+        for n in range(701):
+            assert p_quasipoly(qp, n) == oracle[n]
+            assert p_product(a, n, index=index) == oracle[n]
+            assert p_stirling(a, n, index=index) == oracle[n]
+            assert is_zero(a, n, index=index) == (oracle[n] == 0)
+
     def test_d_invariance(self):
         for a in [(2, 3), (4, 6), (2, 3, 4)]:
             d0 = make_instance(a).D
