@@ -48,6 +48,7 @@ from .partition import (
     quasipoly,
     quasipoly_from_json,
     quasipoly_to_json,
+    route_for,
 )
 from .polypart import (
     RationalPolynomial,
@@ -111,6 +112,7 @@ __all__ = [
     "residues_powersum",
     "rising_factorial_coeffs",
     "rising_factorial_eval",
+    "route_for",
     "run_selfcheck",
     "sample_instances",
 ]

@@ -6,8 +6,8 @@ timing.  All integers in the JSON are decimal strings so no consumer ever
 truncates at 64 bits; rationals carry a [numerator, denominator] pair plus a
 decimal convenience string.  `--plain` switches to human-readable tables.
 
-Exit codes: 0 success, 2 usage error, 3 enumeration-box guard tripped,
-4 cross-route or self-check mismatch.
+Exit codes: 0 success, 2 usage error, 3 size guard tripped, 4 cross-route or
+self-check mismatch or a failed integrality check (ArithmeticError).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .congruence import (
     DEFAULT_MAX_BOX,
     BoxTooLargeError,
     Instance,
+    _guard,
     build_fiber_index,
     list_fibers,
     make_instance,
@@ -36,6 +37,7 @@ from .partition import (
     p_quasipoly,
     p_stirling,
     quasipoly,
+    route_for,
 )
 from .polypart import (
     format_polynomial,
@@ -181,16 +183,9 @@ def _cmd_eval(args):
             f"got a={inst.a} with gcd {inst.g}"
         )
 
-    def auto_method() -> str:
-        if inst.r == 1:
-            return "product"  # one-tuple box: this is the divisibility test
-        if inst.r == 2 and inst.g == 1:
-            return "popoviciu"
-        return "product" if inst.box_size <= max_box else "oracle"
-
-    resolved = auto_method() if method == "auto" else method
-    values = []
-    if resolved == "oracle":
+    resolved = route_for(inst, ns[-1], max_box) if method == "auto" else method
+    if resolved == "oracle":  # n + 1 DP cells, the bound route_for uses
+        _guard(ns[-1] + 1, max_box, "oracle table length")
         table = p_oracle_upto(inst.a, ns[-1])
         values = [(n, table[n]) for n in ns]
     elif resolved == "popoviciu":
@@ -365,6 +360,7 @@ def _cmd_bench(args):
             vals = [p_popoviciu(inst.a[0], inst.a[1], n) for n in points]
             query_ms = (time.perf_counter() - t0) * 1000.0
         else:
+            _guard(n_max + 1, max_box, "oracle table length")
             vals = [p_oracle(inst.a, n) for n in points]
             query_ms = (time.perf_counter() - t0) * 1000.0
         per_method_values[method] = vals
@@ -454,7 +450,8 @@ def _add_instance_args(sp):
     sp.add_argument("-a", required=True, help="comma-separated positive weights, e.g. 3,5")
     sp.add_argument("-d", default="lcm", help="period choice: lcm | product | explicit:M")
     sp.add_argument("--max-box", type=int, default=None,
-                    help=f"enumeration guard (default {DEFAULT_MAX_BOX} or DENUMERANT_MAX_BOX)")
+                    help="size guard: the most box-sum histogram entries, oracle table entries"
+                         f" or listed box tuples (default {DEFAULT_MAX_BOX} or DENUMERANT_MAX_BOX)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -525,15 +522,15 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         instance, result, code = args.handler(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BoxTooLargeError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_BOX
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"arithmetic error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     timing_ms = round((time.perf_counter() - t0) * 1000.0, 3)
 
     instance_json = None if instance is None else _instance_json(instance)

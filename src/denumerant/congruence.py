@@ -8,8 +8,9 @@ Every counting formula downstream needs only the weighted sums in a fiber
 and how many tuples share each, so the core structure is the box-sum
 histogram H(z) = prod_i (1 - z^D)/(1 - z^{a_i}): its coefficient at z^s
 counts the box tuples of weighted sum s, and every sum is below r*D, so a
-fiber is at most r (sum, count) pairs.  This module builds H, splits it
-into fibers, and owns the size guard.
+fiber is at most r (sum, count) pairs, one residue column of H.  This
+module builds H, splits it into fibers, and owns the size guard, which bounds
+the length of H (only :func:`list_fibers`, which walks the box, bounds tuples).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import sub
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
-DEFAULT_MAX_BOX = 10**8
+DEFAULT_MAX_BOX = 10**7  # entries of H (about 40 B each), or tuples listed
 
 DChoice = Union[str, int]  # "lcm", "product", or an explicit common multiple
 
@@ -41,13 +42,13 @@ __all__ = [
 
 
 class BoxTooLargeError(Exception):
-    """An enumeration would exceed the tuple-count guard."""
+    """A table or an enumeration would exceed the size guard."""
 
-    def __init__(self, box_size: int, max_box: int):
-        self.box_size = box_size
+    def __init__(self, size: int, max_box: int, what: str = "box-sum histogram length"):
+        self.size = size
         self.max_box = max_box
         super().__init__(
-            f"enumeration box holds {box_size} tuples, exceeding the guard of {max_box};"
+            f"{what} {size} exceeds the guard of {max_box};"
             " raise max_box (or DENUMERANT_MAX_BOX for the CLI) to force it"
         )
 
@@ -71,6 +72,11 @@ class Instance:
     @property
     def box_size(self) -> int:
         return prod(self.axis_lengths)
+
+    @property
+    def histogram_length(self) -> int:
+        """len(box_sum_histogram(self)), known without building it."""
+        return sum(self.D - ai for ai in self.a) // self.g + 1
 
 
 @dataclass(frozen=True)
@@ -150,10 +156,9 @@ def make_instance(a: Sequence[int], d_choice: DChoice = "lcm") -> Instance:
     return Instance(a=a, D=d, g=gcd(*a))
 
 
-def _guard(inst: Instance, max_box: int) -> None:
-    box = inst.box_size
-    if box > max_box:
-        raise BoxTooLargeError(box, max_box)
+def _guard(size: int, max_box: int, what: str = "box-sum histogram length") -> None:
+    if size > max_box:
+        raise BoxTooLargeError(size, max_box, what)
 
 
 def box_sum_histogram(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> list[int]:
@@ -162,12 +167,12 @@ def box_sum_histogram(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> list[in
     weighted sum g*k.
 
     Dividing out g = gcd(a) keeps every axis length D/a_i, so the box and its
-    tuple counts are unchanged while len(h) = sum_i (D - a_i)/g + 1, below
+    tuple counts are unchanged while len(h) = inst.histogram_length, below
     r*D/g for r >= 2 and so below r times the box size (box >= D/g).  Each
     factor is one running sum with stride a_i/g, windowed to the axis length.
-    The guard applies to the nominal box size.
+    The guard bounds len(h).
     """
-    _guard(inst, max_box)
+    _guard(inst.histogram_length, max_box)
     g = inst.g
     h = [1]
     for ai, length in zip(inst.a, inst.axis_lengths):
@@ -181,64 +186,48 @@ def box_sum_histogram(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> list[in
     return h
 
 
+def _column(inst: Instance, h: list[int], v: int) -> Fiber:
+    """The fiber of residue g*v: column v of the histogram h of `inst`."""
+    g = inst.g
+    period = inst.D // g
+    column = h[v::period]
+    return Fiber(
+        residue=g * v,
+        sums=tuple(g * (v + i * period) for i, c in enumerate(column) if c),
+        counts=tuple(c for c in column if c),
+    )
+
+
 def build_fiber_index(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> FiberIndex:
     """Split the box-sum histogram into one fiber per residue class mod D."""
     h = box_sum_histogram(inst, max_box)
-    g = inst.g
-    period = inst.D // g
-    fibers = {}
-    for v in range(period):
-        column = h[v::period]
-        fibers[g * v] = Fiber(
-            residue=g * v,
-            sums=tuple(g * (v + i * period) for i, c in enumerate(column) if c),
-            counts=tuple(c for c in column if c),
-        )
+    fibers = {inst.g * v: _column(inst, h, v) for v in range(inst.D // inst.g)}
     return FiberIndex(instance=inst, fibers=fibers)
 
 
 def fiber(inst: Instance, n: int, max_box: int = DEFAULT_MAX_BOX) -> Fiber:
-    """The single fiber of residue n mod D, without building the histogram.
+    """The single fiber of residue n mod D, read from the box-sum histogram.
 
-    The box is scanned with one axis solved by congruence instead of being
-    enumerated (a_i j_i must hit a prescribed residue class, which pins j_i),
-    cutting the scan cost to box/max_i(D/a_i); only the weighted sums are
-    counted.  Memory stays O(r) where a histogram would need O(r*D/g).  The
-    guard still applies to the nominal box size.
+    A residue not divisible by gcd(a) has an empty fiber and builds nothing;
+    the guard bounds the histogram either way.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    _guard(inst, max_box)
-    d = inst.D
-    target = n % d
+    _guard(inst.histogram_length, max_box)
+    target = n % inst.D
     if target % inst.g:
         return Fiber(target, (), ())
-    a = inst.a
-    lengths = inst.axis_lengths
-    solved = max(range(len(a)), key=lambda i: lengths[i])
-    a_solved = a[solved]
-    other_ranges = [range(lengths[i]) for i in range(len(a)) if i != solved]
-    other_a = [a[i] for i in range(len(a)) if i != solved]
-    tally: dict[int, int] = {}
-    for rest in itertools.product(*other_ranges):
-        partial = 0
-        for ai, ji in zip(other_a, rest):
-            partial += ai * ji
-        need = (target - partial) % d
-        if need % a_solved == 0:
-            s = partial + need
-            tally[s] = tally.get(s, 0) + 1
-    sums = tuple(sorted(tally))
-    return Fiber(residue=target, sums=sums, counts=tuple(tally[s] for s in sums))
+    return _column(inst, box_sum_histogram(inst, max_box), target // inst.g)
 
 
 def list_fibers(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> dict[int, list[tuple[int, ...]]]:
     """Every box tuple, bucketed by the residue of its weighted sum mod D.
 
     Residues ascend and each bucket lists its tuples lexicographically.  This
-    walks the whole box; counting needs only :func:`build_fiber_index`.
+    walks the whole box, so the guard bounds the box size; counting needs
+    only :func:`build_fiber_index`.
     """
-    _guard(inst, max_box)
+    _guard(inst.box_size, max_box, "enumeration box size")
     a, d = inst.a, inst.D
     buckets: dict[int, list[tuple[int, ...]]] = {}
     for t in itertools.product(*[range(n) for n in inst.axis_lengths]):

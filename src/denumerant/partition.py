@@ -16,9 +16,9 @@ computes it by several independent routes that must agree exactly:
 
 A fiber enters every fiber route as at most r (weighted sum, tuple count)
 pairs, so a term is computed once per distinct sum and scaled by its count.
-Without a prebuilt index, a point query scans its one fiber
-(:func:`denumerant.congruence.fiber`); with one, it reads the fiber split
-from the box-sum histogram.
+Every fiber is a residue column of the box-sum histogram H, read by a point
+query (:func:`denumerant.congruence.fiber`) or split once into an index.
+:func:`route_for` is the only router.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 from .congruence import (
     DEFAULT_MAX_BOX,
+    BoxTooLargeError,
     DChoice,
     Fiber,
     FiberIndex,
@@ -51,6 +52,7 @@ __all__ = [
     "p_popoviciu",
     "is_zero",
     "p_unrestricted",
+    "route_for",
     "p",
     "quasipoly_to_json",
     "quasipoly_from_json",
@@ -262,13 +264,27 @@ def p_unrestricted(n: int, max_box: int = DEFAULT_MAX_BOX) -> int:
     """The unrestricted partition number p(n), computed as p_(1,2,...,n)(n)
     through the fiber machinery with D = lcm(1..n).
 
-    The box has prod_i D/i tuples, which explodes quickly (n = 6 needs ~6.5e7
-    already), so this route is a demonstration for small n; use
-    p_oracle(range(1, n+1), n) for anything larger."""
+    The histogram has about n*lcm(1..n) entries (5.4e6 at n = 15, past the
+    default guard at n = 16), so this route is a demonstration for small n;
+    use p_oracle(range(1, n+1), n) for anything larger."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"need a positive integer, got {n!r}")
     a = tuple(range(1, n + 1))
     return p_product(a, n, lcm(*a), max_box=max_box)
+
+
+def route_for(inst: Instance, n: int, max_box: int = DEFAULT_MAX_BOX) -> str:
+    """The eval method for p_a(n): "popoviciu" for a coprime pair, else the
+    shorter table that fits max_box, "product" on the box-sum histogram (one
+    entry for r = 1) or "oracle" on n + 1 DP cells; BoxTooLargeError if none."""
+    if inst.r == 2 and inst.g == 1:
+        return "popoviciu"
+    size = inst.histogram_length
+    if size <= min(n + 1, max_box):
+        return "product"
+    if n + 1 <= max_box:
+        return "oracle"
+    raise BoxTooLargeError(min(size, n + 1), max_box, "shorter table (histogram or oracle) length")
 
 
 def p(
@@ -278,18 +294,13 @@ def p(
     *,
     max_box: int = DEFAULT_MAX_BOX,
 ) -> int:
-    """Convenience entry point with route selection.
-
-    r = 1 is a divisibility test; coprime pairs go through Popoviciu;
-    otherwise the product formula is used when the box fits the guard, and the
-    DP oracle when it does not."""
+    """p_a(n) by the route :func:`route_for` picks."""
     _check_n(n)
     inst = make_instance(a, d_choice)
-    if inst.r == 1:
-        return 1 if n % inst.a[0] == 0 else 0
-    if inst.r == 2 and inst.g == 1:
+    route = route_for(inst, n, max_box)
+    if route == "popoviciu":
         return p_popoviciu(inst.a[0], inst.a[1], n)
-    if inst.box_size <= max_box:
+    if route == "product":
         return p_product(a, n, d_choice, max_box=max_box)
     return p_oracle(a, n)
 

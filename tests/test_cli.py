@@ -1,12 +1,18 @@
 """CLI envelope behavior: schema validity, exit codes, plain mode."""
 
+import contextlib
+import io
 import json
+import os
 from importlib.resources import files
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from denumerant import cli
+from denumerant import cli, make_instance, route_for
 
 SCHEMA = json.loads(files("denumerant").joinpath("schema.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
@@ -97,6 +103,34 @@ class TestEval:
             capsys, "eval", "-a", "2,3", "-n", "4", "--method", "product", "--max-box", "2"
         )
         assert code == 3 and "size guard" in err
+
+    def test_oracle_is_guarded(self, capsys):
+        # a 10^12-cell DP table used to die with a MemoryError traceback
+        for argv in (
+            ("eval", "-a", "1000,1001,1002", "-n", "1000000000000", "--method", "oracle"),
+            ("eval", "-a", "1000,1001,1002", "-n", "1000000000000"),
+            ("bench", "-a", "1000,1001,1002", "-n", "1000000000000", "--methods", "oracle"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert err.count("\n") == 1 and err.startswith("size guard"), argv
+
+    @pytest.mark.parametrize("a", ["4", "3,5", "4,6", "2,3,4", "4,6,9", "2,3,5,7", "6,10,15"])
+    @pytest.mark.parametrize("n", ["0", "40", "0..100", "1000", "10000"])
+    def test_resolved_method_is_route_for(self, capsys, a, n):
+        _, env = run_json(capsys, "eval", "-a", a, "-n", n)
+        inst = make_instance(tuple(int(x) for x in a.split(",")))
+        want = route_for(inst, int(n.split("..")[-1]))
+        assert env["result"]["resolved_method"] == want
+
+    def test_arithmetic_error_exits_4(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ZeroDivisionError("integer division or modulo by zero")
+
+        monkeypatch.setattr(cli, "p_popoviciu", broken)
+        code, out, err = run_cli(capsys, "eval", "-a", "3,5", "-n", "8")
+        assert (code, out) == (4, "")
+        assert err.count("\n") == 1 and "division" in err
 
     def test_env_var_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("DENUMERANT_MAX_BOX", "2")
@@ -234,3 +268,64 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every run exits in {0, 2, 3, 4} with one schema-valid envelope on
+# stdout or one line on stderr, never a traceback.  The argv always parses
+# (typed options get integers), so argparse's own usage text is not in play.
+
+_good_weights = st.lists(st.integers(1, 40), min_size=1, max_size=4).map(lambda a: ",".join(map(str, a)))
+_weights = st.one_of(
+    _good_weights,
+    _good_weights,
+    st.sampled_from(["0", "-3", "x", "3,,5", "", "1000000000000,3", "1000,1001,1002"]),
+)
+_n = st.one_of(
+    st.integers(0, 10**40).map(str),
+    st.integers(0, 10**4).map(str),
+    st.tuples(st.integers(0, 10**40), st.integers(0, 40)).map(lambda t: f"{t[0]}..{t[0] + t[1]}"),
+    st.integers(0, 10**4).map(lambda lo: f"{lo}..{lo + 10**7}"),
+    st.sampled_from(["-1", "x", "5..2", "1..x", "..", "0..0"]),
+)
+_d = st.sampled_from(["lcm"] * 4 + ["product", "explicit:720720", "explicit:0", "explicit:x", "bogus"])
+_common = st.tuples(_weights, _d).map(lambda t: ["-a", t[0], "-d", t[1]])
+_max_box = st.one_of(st.just([]), st.integers(-1, 10**5).map(lambda m: ["--max-box", str(m)]))
+_methods = st.lists(st.sampled_from(cli._EVAL_METHODS + ("magic",)), min_size=1, max_size=3)
+
+
+def _flag(name):
+    return st.booleans().map(lambda on: [name] if on else [])
+
+
+_argv = st.one_of(
+    st.tuples(st.just(["eval"]), _common, st.tuples(st.just("-n"), _n).map(list),
+              st.sampled_from(cli._EVAL_METHODS).map(lambda m: ["--method", m])),
+    st.tuples(st.just(["quasipoly"]), _common),
+    st.tuples(st.just(["polypart"]), _common,
+              st.sampled_from(cli._POLYPART_METHODS).map(lambda m: ["--method", m]), _flag("--check")),
+    st.tuples(st.just(["residues"]), _common,
+              st.sampled_from(cli._RESIDUE_METHODS).map(lambda m: ["--method", m]), _flag("--check")),
+    st.tuples(st.just(["frobenius"]), _common),
+    st.tuples(st.just(["fibers"]), _common),
+    st.tuples(st.just(["bench"]), _common, st.tuples(st.just("-n"), _n).map(list),
+              st.one_of(st.just([]), _methods.map(lambda ms: ["--methods", ",".join(ms)])),
+              st.integers(-1, 6).map(lambda k: ["--points", str(k)])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv, _max_box, st.integers(-1, 10**5))
+def test_argv_fuzz(parts, max_box, env_guard):
+    argv = [x for part in parts for x in part] + max_box
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"DENUMERANT_MAX_BOX": str(env_guard)}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, code)
+    if out:
+        assert code in (0, 4) and err == "", argv
+        VALIDATOR.validate(json.loads(out))
+    else:
+        assert code != 0 and err.count("\n") == 1, (argv, err)

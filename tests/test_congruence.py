@@ -14,11 +14,15 @@ from denumerant import (
     box_sum_histogram,
     build_fiber_index,
     fiber,
+    frobenius_general,
     list_fibers,
     make_instance,
     p,
     p_oracle,
+    p_oracle_upto,
     p_product,
+    p_quasipoly,
+    quasipoly,
 )
 
 weights = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3).map(tuple)
@@ -74,11 +78,13 @@ class TestBuildFiberIndex:
         assert index.fiber(7).sums == (22,)
 
     def test_guard_reports_cardinality(self):
+        # the guard bounds the histogram, (6 - 2) + (6 - 3) + 1 = 8 entries
         inst = make_instance((2, 3))
+        assert inst.histogram_length == len(box_sum_histogram(inst)) == 8
         with pytest.raises(BoxTooLargeError) as err:
-            build_fiber_index(inst, max_box=5)
-        assert err.value.box_size == 6
-        assert "6" in str(err.value)
+            build_fiber_index(inst, max_box=7)
+        assert err.value.size == 8
+        assert "8" in str(err.value)
 
     def test_large_gcd_is_divided_out(self):
         # D = 1.5e13 but the reduced instance (3, 5) has period 15: a histogram
@@ -157,10 +163,18 @@ class TestSingleFiber:
 
     @settings(max_examples=40, deadline=None)
     @given(weights, st.integers(min_value=0, max_value=60))
-    def test_matches_full_index(self, a, n):
-        # the solved-coordinate shortcut must agree with full-scan bucketing
+    def test_matches_enumeration(self, a, n):
+        # the histogram column against a walk of the box, not against the
+        # index, which reads the same histogram
         inst = make_instance(a)
-        assert fiber(inst, n) == build_fiber_index(inst).fiber(n)
+        tally = Counter(
+            sum(ai * ji for ai, ji in zip(inst.a, t))
+            for t in list_fibers(inst).get(n % inst.D, [])
+        )
+        f = fiber(inst, n)
+        assert f.residue == n % inst.D
+        assert f.sums == tuple(sorted(tally))
+        assert f.counts == tuple(tally[s] for s in f.sums)
 
 
 class TestBoxSumHistogram:
@@ -175,12 +189,27 @@ class TestBoxSumHistogram:
         h = box_sum_histogram(inst)
         assert Counter({inst.g * k: c for k, c in enumerate(h) if c}) == want
         assert len(h) == sum(inst.D - ai for ai in inst.a) // inst.g + 1
+        assert len(h) == inst.histogram_length
         if inst.r > 1:
             assert len(h) < inst.r * inst.D // inst.g
 
     def test_guard(self):
         with pytest.raises(BoxTooLargeError):
-            box_sum_histogram(make_instance((2, 3)), max_box=5)
+            box_sum_histogram(make_instance((2, 3)), max_box=7)
+        assert len(box_sum_histogram(make_instance((2, 3)), max_box=8)) == 8
+
+    def test_guard_bounds_the_histogram_not_the_box(self):
+        # (2,3,5,7): 824 histogram entries, a box of 9 261 000 tuples
+        a = (2, 3, 5, 7)
+        inst = make_instance(a)
+        assert inst.histogram_length == 824
+        table = p_oracle_upto(a, 400)
+        qp = quasipoly(a, max_box=10**4)
+        for n in (0, 1, 17, 209, 210, 400):
+            assert p_product(a, n, max_box=10**4) == p_quasipoly(qp, n) == table[n]
+        assert frobenius_general(a, max_box=10**4).value == 1
+        with pytest.raises(BoxTooLargeError):
+            list_fibers(inst, max_box=10**4)
 
 
 class TestImmutability:

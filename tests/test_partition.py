@@ -23,6 +23,7 @@ from denumerant import (
     quasipoly,
     quasipoly_from_json,
     quasipoly_to_json,
+    route_for,
     sample_instances,
 )
 
@@ -231,6 +232,10 @@ class TestUnrestricted:
     def test_small_values(self):
         assert [p_unrestricted(n) for n in range(1, 6)] == [1, 2, 3, 5, 7]
 
+    def test_guard_counts_the_histogram(self):
+        # D = 2520: 25 146 histogram entries where the box holds ~1.2e23 tuples
+        assert p_unrestricted(10) == 42
+
     def test_guard_blocks_infeasible_n(self):
         with pytest.raises(BoxTooLargeError):
             p_unrestricted(30)
@@ -287,8 +292,27 @@ class TestRouter:
                 assert p(a, n) == table[n]
 
     def test_falls_back_to_oracle_past_guard(self):
-        # box of (4,6,9) under lcm is 36*24*16 tuples; force the oracle path
-        assert p((4, 6, 9), 50, max_box=10) == p_oracle((4, 6, 9), 50)
+        # the histogram of (4,6,9) has 90 entries, over the guard; the
+        # oracle's 51 cells fit
+        assert route_for(make_instance((4, 6, 9)), 50, max_box=60) == "oracle"
+        assert p((4, 6, 9), 50, max_box=60) == p_oracle((4, 6, 9), 50)
+
+    def test_route_for_picks_the_shorter_table(self):
+        heavy = make_instance((2, 3, 5, 7))  # 824 histogram entries
+        assert route_for(heavy, 50) == "oracle"
+        assert route_for(heavy, 823) == "product"  # a tie goes to the histogram
+        assert route_for(heavy, 2000) == "product"
+        assert route_for(make_instance((3, 5)), 10**30) == "popoviciu"
+        assert route_for(make_instance((4,)), 10**30) == "product"
+        with pytest.raises(BoxTooLargeError):
+            route_for(heavy, 10**6, max_box=800)
+        with pytest.raises(BoxTooLargeError):
+            p((2, 3, 5, 7), 10**6, max_box=800)
+
+    def test_every_route_matches_oracle_across_the_switch(self):
+        a = (2, 3, 5, 7)
+        table = p_oracle_upto(a, 3000)
+        assert [p(a, n) for n in range(3001)] == table
 
     def test_divisibility_shortcut(self):
         assert [p((4,), n) for n in range(9)] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
