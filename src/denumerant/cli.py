@@ -23,13 +23,13 @@ from .congruence import (
     DEFAULT_MAX_BOX,
     BoxTooLargeError,
     Instance,
-    _guard,
     build_fiber_index,
     list_fibers,
     make_instance,
 )
 from .frobenius import frobenius_general, frobenius_pair
 from .partition import (
+    p,
     p_oracle,
     p_oracle_upto,
     p_popoviciu,
@@ -68,10 +68,6 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # rendering helpers
 
-def _intstr(x: int) -> str:
-    return str(x)
-
-
 def _decimal_str(q: Fraction, digits: int = 12) -> str:
     sign = "-" if q < 0 else ""
     q = abs(q)
@@ -87,7 +83,7 @@ def _decimal_str(q: Fraction, digits: int = 12) -> str:
 
 def _frac_json(q: Fraction) -> dict:
     return {
-        "frac": [_intstr(q.numerator), _intstr(q.denominator)],
+        "frac": [str(q.numerator), str(q.denominator)],
         "decimal": _decimal_str(q),
     }
 
@@ -101,9 +97,9 @@ def _poly_json(poly) -> dict:
 
 def _instance_json(inst: Instance) -> dict:
     return {
-        "a": [_intstr(x) for x in inst.a],
-        "D": _intstr(inst.D),
-        "g": _intstr(inst.g),
+        "a": [str(x) for x in inst.a],
+        "D": str(inst.D),
+        "g": str(inst.g),
     }
 
 
@@ -184,12 +180,11 @@ def _cmd_eval(args):
         )
 
     resolved = route_for(inst, ns[-1], max_box) if method == "auto" else method
-    if resolved == "oracle":  # n + 1 DP cells, the bound route_for uses
-        _guard(ns[-1] + 1, max_box, "oracle table length")
-        table = p_oracle_upto(inst.a, ns[-1])
+    if resolved == "oracle":
+        table = p_oracle_upto(inst.a, ns[-1], max_box=max_box)
         values = [(n, table[n]) for n in ns]
-    elif resolved == "popoviciu":
-        values = [(n, p_popoviciu(inst.a[0], inst.a[1], n)) for n in ns]
+    elif resolved == "popoviciu":  # p() divides out gcd(a) for an auto-routed pair
+        values = [(n, p(inst.a, n, inst.D, max_box=max_box)) for n in ns]
     elif resolved == "quasipoly":
         qp = quasipoly(inst.a, index=build_fiber_index(inst, max_box))
         values = [(n, p_quasipoly(qp, n)) for n in ns]
@@ -204,7 +199,7 @@ def _cmd_eval(args):
     result = {
         "method": method,
         "resolved_method": resolved,
-        "values": [{"n": _intstr(n), "p": _intstr(v)} for n, v in values],
+        "values": [{"n": str(n), "p": str(v)} for n, v in values],
     }
     return inst, result, EXIT_OK
 
@@ -213,8 +208,8 @@ def _cmd_quasipoly(args):
     inst = _make_instance(args)
     qp = quasipoly(inst.a, index=build_fiber_index(inst, _max_box(args)))
     result = {
-        "a": [_intstr(x) for x in inst.a],
-        "D": _intstr(inst.D),
+        "a": [str(x) for x in inst.a],
+        "D": str(inst.D),
         "coeffs": [_frac_json(c) for row in qp.coeffs for c in row],
     }
     return inst, result, EXIT_OK
@@ -287,8 +282,8 @@ def _cmd_frobenius(args):
         method = "fibers"
     result = {
         "method": method,
-        "value": _intstr(out.value),
-        "witness_residue": None if out.witness_residue is None else _intstr(out.witness_residue),
+        "value": str(out.value),
+        "witness_residue": None if out.witness_residue is None else str(out.witness_residue),
     }
     return inst, result, EXIT_OK
 
@@ -299,7 +294,7 @@ def _cmd_fibers(args):
     result = {
         "instance": _instance_json(inst),
         "fibers": {
-            _intstr(v): [[_intstr(j) for j in t] for t in tuples] for v, tuples in buckets.items()
+            str(v): [[str(j) for j in t] for t in tuples] for v, tuples in buckets.items()
         },
     }
     return inst, result, EXIT_OK
@@ -359,9 +354,8 @@ def _cmd_bench(args):
         elif method == "popoviciu":
             vals = [p_popoviciu(inst.a[0], inst.a[1], n) for n in points]
             query_ms = (time.perf_counter() - t0) * 1000.0
-        else:
-            _guard(n_max + 1, max_box, "oracle table length")
-            vals = [p_oracle(inst.a, n) for n in points]
+        else:  # the largest point first, so the oracle's guard trips before any DP runs
+            vals = [p_oracle(inst.a, n, max_box=max_box) for n in points[::-1]][::-1]
             query_ms = (time.perf_counter() - t0) * 1000.0
         per_method_values[method] = vals
         rows.append(
@@ -375,11 +369,11 @@ def _cmd_bench(args):
 
     agree = len({tuple(v) for v in per_method_values.values()}) == 1
     result = {
-        "n_max": _intstr(n_max),
-        "points": [_intstr(n) for n in points],
+        "n_max": str(n_max),
+        "points": [str(n) for n in points],
         "methods": rows,
         "values_agree": agree,
-        "values": [_intstr(v) for v in per_method_values[wanted[0]]],
+        "values": [str(v) for v in per_method_values[wanted[0]]],
         "note": (
             "setup_ms covers the one-time fiber-index (and coefficient-table) build;"
             " point queries amortize it"

@@ -208,15 +208,16 @@ def build_fiber_index(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> FiberIn
 def fiber(inst: Instance, n: int, max_box: int = DEFAULT_MAX_BOX) -> Fiber:
     """The single fiber of residue n mod D, read from the box-sum histogram.
 
-    A residue not divisible by gcd(a) has an empty fiber and builds nothing;
-    the guard bounds the histogram either way.
+    Two fibers build nothing: a residue not divisible by gcd(a) has an empty
+    fiber, and for r = 1 H is 1 + z^a + ... + z^(D-a), one tuple per sum.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    _guard(inst.histogram_length, max_box)
     target = n % inst.D
     if target % inst.g:
         return Fiber(target, (), ())
+    if inst.r == 1:
+        return Fiber(target, (target,), (1,))
     return _column(inst, box_sum_histogram(inst, max_box), target // inst.g)
 
 

@@ -35,6 +35,7 @@ from .congruence import (
     Fiber,
     FiberIndex,
     Instance,
+    _guard,
     build_fiber_index,
     fiber,
     make_instance,
@@ -94,23 +95,22 @@ def _resolve_fiber(
 ) -> tuple[Instance, Fiber]:
     if index is not None:
         if index.instance.a != tuple(a):
-            raise ValueError(
-                f"index was built for {index.instance.a}, not {tuple(a)}"
-            )
+            raise ValueError(f"index was built for {index.instance.a}, not {tuple(a)}")
         return index.instance, index.fiber(n)
     inst = make_instance(a, d_choice)
     return inst, fiber(inst, n, max_box)
 
 
-def p_oracle(a: Sequence[int], n: int) -> int:
+def p_oracle(a: Sequence[int], n: int, *, max_box: int = DEFAULT_MAX_BOX) -> int:
     """p_a(n) by dynamic programming over the weights; the definitional count."""
-    return p_oracle_upto(a, n)[n]
+    return p_oracle_upto(a, n, max_box=max_box)[n]
 
 
-def p_oracle_upto(a: Sequence[int], n_max: int) -> list[int]:
-    """All of p_a(0..n_max) in one DP sweep (arbitrary precision)."""
+def p_oracle_upto(a: Sequence[int], n_max: int, *, max_box: int = DEFAULT_MAX_BOX) -> list[int]:
+    """All of p_a(0..n_max) in one DP sweep; the guard bounds its n_max + 1 cells."""
     _check_n(n_max)
     inst = make_instance(a)  # validates the weights
+    _guard(n_max + 1, max_box, "oracle table length")
     ways = [0] * (n_max + 1)
     ways[0] = 1
     for ai in inst.a:
@@ -253,8 +253,10 @@ def is_zero(
     index: FiberIndex | None = None,
     max_box: int = DEFAULT_MAX_BOX,
 ) -> bool:
-    """True iff p_a(n) = 0: every weighted sum in the fiber of n exceeds n
-    (vacuously true when the fiber is empty)."""
+    """True iff p_a(n) = 0, by :func:`p`; given an `index`, iff every weighted
+    sum in the fiber of n exceeds n (vacuously so for an empty fiber)."""
+    if index is None:
+        return p(a, n, d_choice, max_box=max_box) == 0
     _check_n(n)
     _, fib = _resolve_fiber(a, n, d_choice, index, max_box)
     return all(s > n for s in fib.sums)
@@ -274,11 +276,13 @@ def p_unrestricted(n: int, max_box: int = DEFAULT_MAX_BOX) -> int:
 
 
 def route_for(inst: Instance, n: int, max_box: int = DEFAULT_MAX_BOX) -> str:
-    """The eval method for p_a(n): "popoviciu" for a coprime pair, else the
-    shorter table that fits max_box, "product" on the box-sum histogram (one
-    entry for r = 1) or "oracle" on n + 1 DP cells; BoxTooLargeError if none."""
-    if inst.r == 2 and inst.g == 1:
-        return "popoviciu"
+    """The eval method for p_a(n): "product" for r = 1 (its one-tuple fiber
+    builds nothing); "popoviciu" on a/g for a pair, as p_a(n) = p_(a/g)(n/g)
+    if g = gcd(a) divides n, else 0; otherwise the shorter table that fits
+    max_box, "product" on the box-sum histogram or "oracle" on n + 1 DP cells,
+    and BoxTooLargeError if neither fits."""
+    if inst.r <= 2:
+        return "product" if inst.r == 1 else "popoviciu"
     size = inst.histogram_length
     if size <= min(n + 1, max_box):
         return "product"
@@ -299,10 +303,11 @@ def p(
     inst = make_instance(a, d_choice)
     route = route_for(inst, n, max_box)
     if route == "popoviciu":
-        return p_popoviciu(inst.a[0], inst.a[1], n)
+        g = inst.g
+        return 0 if n % g else p_popoviciu(inst.a[0] // g, inst.a[1] // g, n // g)
     if route == "product":
         return p_product(a, n, d_choice, max_box=max_box)
-    return p_oracle(a, n)
+    return p_oracle(a, n, max_box=max_box)
 
 
 def quasipoly_to_json(qp: QuasiPolynomial) -> dict:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denumerant import cli, make_instance, route_for
+from denumerant import cli, make_instance, partition, route_for
 
 SCHEMA = json.loads(files("denumerant").joinpath("schema.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
@@ -123,11 +123,17 @@ class TestEval:
         want = route_for(inst, int(n.split("..")[-1]))
         assert env["result"]["resolved_method"] == want
 
+    def test_gcd_pair_routes_to_popoviciu(self, capsys):
+        # gcd 2: the histogram would hold 2e8 entries; Popoviciu runs on a/2
+        _, env = run_json(capsys, "eval", "-a", "19946,20014", "-n", "99999999..100000000")
+        assert env["result"]["resolved_method"] == "popoviciu"
+        assert [v["p"] for v in env["result"]["values"]] == ["0", "1"]
+
     def test_arithmetic_error_exits_4(self, capsys, monkeypatch):
         def broken(*args):
             raise ZeroDivisionError("integer division or modulo by zero")
 
-        monkeypatch.setattr(cli, "p_popoviciu", broken)
+        monkeypatch.setattr(partition, "p_popoviciu", broken)
         code, out, err = run_cli(capsys, "eval", "-a", "3,5", "-n", "8")
         assert (code, out) == (4, "")
         assert err.count("\n") == 1 and "division" in err

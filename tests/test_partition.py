@@ -227,6 +227,12 @@ class TestIsZero:
             for n in range(horizon + 1):
                 assert is_zero(a, n, index=index) == (table[n] == 0)
 
+    def test_routes_without_an_index(self):
+        # the histogram of (2,3,5,7) has 824 entries, over the guard; the
+        # oracle's n + 1 cells fit
+        assert is_zero((2, 3, 5, 7), 1, max_box=60) is True
+        assert is_zero((2, 3, 5, 7), 50, max_box=60) is False
+
 
 class TestUnrestricted:
     def test_small_values(self):
@@ -304,10 +310,31 @@ class TestRouter:
         assert route_for(heavy, 2000) == "product"
         assert route_for(make_instance((3, 5)), 10**30) == "popoviciu"
         assert route_for(make_instance((4,)), 10**30) == "product"
+        # r = 1 whatever D: its one-tuple fiber builds nothing
+        assert route_for(make_instance((3,), 3 * 10**12), 3 * 10**7) == "product"
+        assert p((3,), 3 * 10**7, 3 * 10**12) == 1
+        assert p((3,), 3 * 10**7 + 1, 3 * 10**12) == 0
         with pytest.raises(BoxTooLargeError):
             route_for(heavy, 10**6, max_box=800)
         with pytest.raises(BoxTooLargeError):
             p((2, 3, 5, 7), 10**6, max_box=800)
+
+    def test_gcd_pair_divides_out(self):
+        # p_a(n) = p_(a/g)(n/g) if g | n, else 0; the histogram of this pair
+        # would hold 2e8 entries and the oracle 10^8 + 1 cells
+        a = (2 * 9973, 2 * 10007)
+        assert route_for(make_instance(a), 10**8) == "popoviciu"
+        m = 5 * 10**7  # count 9973 x + 10007 y = m over x
+        want = sum((m - 9973 * x) % 10007 == 0 for x in range(m // 9973 + 1))
+        assert p(a, 10**8) == want == 1
+        assert p(a, 10**8 + 1) == 0
+        assert is_zero(a, 10**8) is False
+        assert is_zero(a, 10**8 + 1) is True
+
+    def test_oracle_is_guarded(self):
+        assert p_oracle((2, 3), 4, max_box=5) == 1  # 2 + 2
+        with pytest.raises(BoxTooLargeError):
+            p_oracle((2, 3), 5, max_box=5)
 
     def test_every_route_matches_oracle_across_the_switch(self):
         a = (2, 3, 5, 7)
