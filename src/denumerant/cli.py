@@ -313,9 +313,11 @@ def _cmd_selfcheck(args):
 
 
 def _bench_points(n_max: int, count: int) -> list[int]:
-    if count <= 1 or n_max == 0:
+    if not 1 <= count <= MAX_N_VALUES:
+        raise UsageError(f"--points must be in 1..{MAX_N_VALUES}, got {count}")
+    if count == 1:
         return [n_max]
-    return sorted({round(i * n_max / (count - 1)) for i in range(count)})
+    return sorted({i * n_max // (count - 1) for i in range(count)})
 
 
 def _cmd_bench(args):
@@ -421,7 +423,7 @@ def _plain_lines(command: str, instance: dict | None, result: dict) -> list[str]
             lines.append(f"  residue {residue}: {shown}{extra}")
     elif command == "selfcheck":
         for chk in result["checks"]:
-            lines.append(f"  {chk['name']}: {chk['cases']} cases ok")
+            lines.append(f"  {chk['name']}: {chk['cases']} cases ok ({chk['ms']} ms)")
         lines.append("self-check: PASS" if result["ok"] else f"self-check: FAIL {result['failure']}")
     elif command == "bench":
         lines.append(f"points: {', '.join(result['points'])}")

@@ -1,16 +1,17 @@
 """Exact special-number sequences used by the counting formulas.
 
 Everything here is computed in exact rational arithmetic (``fractions.Fraction``);
-no floating point appears anywhere in this package's math.
+no floating point appears anywhere in this package's math.  Bernoulli-Barnes
+numbers and box power sums are read off products of r power series truncated
+at the degree asked for: O(r j^2) rational operations for degree j.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Iterator, Sequence
+from math import comb, factorial, prod
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -22,7 +23,6 @@ __all__ = [
     "bernoulli_barnes",
     "faulhaber_sum",
     "alpha",
-    "iter_compositions",
 ]
 
 
@@ -57,9 +57,8 @@ def rising_factorial_eval(x: int, r: int) -> int:
 
 
 # Bernoulli numbers in the B_1 = -1/2 convention (generating function
-# z/(e^z - 1)), filled on demand under a lock so concurrent readers are safe.
+# z/(e^z - 1)), filled on demand.
 _BERNOULLI: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli(j: int) -> Fraction:
@@ -69,28 +68,23 @@ def bernoulli(j: int) -> Fraction:
     """
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
-    if j >= len(_BERNOULLI):
-        with _BERNOULLI_LOCK:
-            while len(_BERNOULLI) <= j:
-                m = len(_BERNOULLI)
-                acc = sum(comb(m + 1, i) * _BERNOULLI[i] for i in range(m))
-                _BERNOULLI.append(Fraction(-acc, m + 1))
+    while len(_BERNOULLI) <= j:
+        m = len(_BERNOULLI)
+        acc = sum(comb(m + 1, i) * _BERNOULLI[i] for i in range(m))
+        _BERNOULLI.append(Fraction(-acc, m + 1))
     return _BERNOULLI[j]
 
 
-def iter_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Yield all tuples of `parts` nonnegative integers summing to `total`.
-
-    Order is lexicographic, so enumeration is deterministic.
-    """
-    if parts < 1:
-        raise ValueError(f"need parts >= 1, got {parts}")
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in iter_compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _truncated_product(factors: Iterable[Sequence[Fraction]], n: int) -> list[Fraction]:
+    """The coefficients of z^0..z^(n-1) in a product of power series, each
+    given by (at least) its first n coefficients; zero terms are skipped."""
+    out = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for f in factors:
+        out = [
+            sum((out[i] * f[k - i] for i in range(k + 1) if out[i] and f[k - i]), Fraction(0))
+            for k in range(n)
+        ]
+    return out
 
 
 def _validate_weights(a: Sequence[int]) -> tuple[int, ...]:
@@ -103,36 +97,32 @@ def _validate_weights(a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def bernoulli_barnes(j: int, a: Sequence[int]) -> Fraction:
-    """Bernoulli-Barnes number B_j(a_1,...,a_r).
+def _bernoulli_barnes_upto(n: int, a: Sequence[int]) -> list[Fraction]:
+    """[B_0(a), ..., B_{n-1}(a)]: B_j(a) is j!/(a_1...a_r) times the z^j
+    coefficient of the reciprocal of prod_i (e^{a_i z} - 1)/(a_i z), whose
+    factors are the series sum_k a_i^k z^k/(k+1)!.  No Bernoulli numbers."""
+    a = _validate_weights(a)
+    factors = ([Fraction(ai**k, factorial(k + 1)) for k in range(n)] for ai in a)
+    p = _truncated_product(factors, n)
+    q = [Fraction(1)]  # 1/p, using p[0] = 1
+    for k in range(1, n):
+        q.append(-sum(p[i] * q[k - i] for i in range(1, k + 1)))
+    pa = prod(a)
+    return [factorial(k) * c / pa for k, c in enumerate(q)]
 
-    Expanded as the multinomial sum over compositions i_1+...+i_r = j of
-    C(j; i_1,...,i_r) * B_{i_1}...B_{i_r} * a_1^{i_1-1}...a_r^{i_r-1}.
-    The a_i^{i-1} exponents make the result rational; B_0(a) = 1/(a_1...a_r).
-    Compositions with an odd Bernoulli index >= 3 contribute nothing and
-    are skipped.
+
+def bernoulli_barnes(j: int, a: Sequence[int]) -> Fraction:
+    """Bernoulli-Barnes number B_j(a_1,...,a_r): j! times the z^j coefficient
+    of prod_i z/(e^{a_i z} - 1), that is of the reciprocal of the product of
+    the r series sum_k a_i^k z^k/(k+1)!, over a_1...a_r.
+
+    Equal to the multinomial sum over compositions i_1+...+i_r = j of
+    C(j; i_1,...,i_r) * B_{i_1}...B_{i_r} * a_1^{i_1-1}...a_r^{i_r-1};
+    B_0(a) = 1/(a_1...a_r).  Cost O(r j^2) rational operations.
     """
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
-    a = _validate_weights(a)
-    r = len(a)
-    total = Fraction(0)
-    for comp in iter_compositions(j, r):
-        bprod = Fraction(1)
-        for i in comp:
-            b = bernoulli(i)
-            if not b:
-                break
-            bprod *= b
-        else:
-            coeff = factorial(j)
-            for i in comp:
-                coeff //= factorial(i)
-            term = coeff * bprod
-            for ai, i in zip(a, comp):
-                term *= Fraction(ai) ** (i - 1)
-            total += term
-    return total
+    return _bernoulli_barnes_upto(j + 1, a)[j]
 
 
 def faulhaber_sum(n: int, k: int) -> Fraction:
@@ -172,30 +162,30 @@ def _alpha_factor(i: int, ai: int, d: int) -> Fraction:
     return acc
 
 
+def _alpha_upto(n: int, a: Sequence[int], d: int) -> list[Fraction]:
+    """[alpha(0, a, d), ..., alpha(n-1, a, d)] from one truncated product of
+    the per-axis series sum_i _alpha_factor(i, a_k, d) z^i."""
+    a = _validate_weights(a)
+    if d < 1 or any(d % ai for ai in a):
+        raise ValueError(f"{d} is not a common multiple of {a}")
+    series = _truncated_product(([_alpha_factor(i, ai, d) for i in range(n)] for ai in a), n)
+    out = [factorial(t) * c for t, c in enumerate(series)]
+    for t, value in enumerate(out):
+        if value.denominator != 1:
+            raise ArithmeticError(f"alpha({t}, {a}, {d}) came out non-integral: {value}")
+    return out
+
+
 def alpha(t: int, a: Sequence[int], d: int) -> Fraction:
     """Power sum of a.j over the box 0 <= j_i <= D/a_i - 1, degree t.
 
     Returns sum over the box of (a_1 j_1 + ... + a_r j_r)^t, evaluated by a
-    Bernoulli closed form (no box enumeration): t! times the sum over
-    compositions i_1+...+i_r = t of the per-axis factors
-    sum_l B_l D^{i+1-l} a^{l-1} / ((i+1-l)! l!).  The result is always an
-    integer-valued Fraction.
+    Bernoulli closed form (no box enumeration): t! times the z^t coefficient
+    of the product over the axes of the series whose z^i coefficient is
+    sum_l B_l D^{i+1-l} a^{l-1} / ((i+1-l)! l!), that is of
+    prod_i (e^{Dz} - 1)/(e^{a_i z} - 1).  Cost O(r t^2) rational operations.
+    The result is always an integer-valued Fraction.
     """
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
-    a = _validate_weights(a)
-    if d < 1 or any(d % ai for ai in a):
-        raise ValueError(f"{d} is not a common multiple of {a}")
-    factors = [[_alpha_factor(i, ai, d) for i in range(t + 1)] for ai in a]
-    total = Fraction(0)
-    for comp in iter_compositions(t, len(a)):
-        term = Fraction(1)
-        for axis, i in enumerate(comp):
-            term *= factors[axis][i]
-            if not term:
-                break
-        total += term
-    total *= factorial(t)
-    if total.denominator != 1:
-        raise ArithmeticError(f"alpha({t}, {a}, {d}) came out non-integral: {total}")
-    return total
+    return _alpha_upto(t + 1, a, d)[t]

@@ -24,7 +24,9 @@ from .congruence import (
     box_sum_histogram,
     make_instance,
 )
-from .numbers import alpha, bernoulli, bernoulli_barnes, iter_compositions, rising_factorial_coeffs
+from .numbers import (
+    _alpha_upto, _bernoulli_barnes_upto, _truncated_product, bernoulli, rising_factorial_coeffs,
+)
 from .partition import _stirling_row
 
 __all__ = [
@@ -120,72 +122,59 @@ def polypart_box_average(
 
 
 def polypart_bernoulli(a: Sequence[int]) -> RationalPolynomial:
-    """P_a(n) from Bernoulli products alone; cost polynomial in r, no box.
+    """P_a(n) from Bernoulli numbers alone; no box.
 
-    (1/prod a) * sum_{u=0}^{r-1} ((-1)^u/(r-1-u)!) *
-    sum over compositions i of u of (B_{i_1}...B_{i_r}/(i_1!...i_r!)) *
-    a_1^{i_1}...a_r^{i_r} * n^{r-1-u}.
+    The n^{r-1-u} coefficient is ((-1)^u/((r-1-u)! prod a)) times the z^u
+    coefficient of prod_i sum_k B_k (a_i z)^k / k!, the product of the r
+    Bernoulli-number series truncated at degree r - 1: O(r^3) rational
+    operations.
     """
     inst = make_instance(a)
     r = inst.r
-    coeffs = [Fraction(0)] * r
-    for u in range(r):
-        inner = Fraction(0)
-        for comp in iter_compositions(u, r):
-            term = Fraction(1)
-            for ai, i in zip(inst.a, comp):
-                b = bernoulli(i)
-                if not b:
-                    term = Fraction(0)
-                    break
-                term *= b * ai**i / factorial(i)
-            inner += term
-        sign = -1 if u & 1 else 1
-        coeffs[r - 1 - u] = sign * inner / factorial(r - 1 - u)
+    bs = [bernoulli(k) / factorial(k) for k in range(r)]
+    series = _truncated_product(([b * ai**k for k, b in enumerate(bs)] for ai in inst.a), r)
     pa = prod(inst.a)
-    coeffs = tuple(c / pa for c in coeffs)
+    coeffs = tuple(
+        (-series[u] if u & 1 else series[u]) / (factorial(r - 1 - u) * pa)
+        for u in range(r - 1, -1, -1)
+    )
     _leading_check(coeffs, inst.a, "polypart_bernoulli")
     return RationalPolynomial(coeffs=coeffs)
 
 
 def residues_powersum(a: Sequence[int], d_choice: DChoice = "lcm") -> ResidueVector:
-    """R_m (m = 1..r) via the Stirling kernel applied to the closed-form box
-    power sums alpha_t; the alpha values depend on the chosen D, the residues
-    do not."""
+    """R_m (m = 1..r) via the Stirling kernel applied to the box power sums
+    alpha_0..alpha_{r-1}, the coefficients of one product of the r per-axis
+    series (e^{Dz} - 1)/(e^{a_i z} - 1) (see :func:`alpha`); the alpha values
+    depend on the chosen D, the residues do not."""
     inst = make_instance(a, d_choice)
     r, d = inst.r, inst.D
     bracket = rising_factorial_coeffs(r)
+    alphas = _alpha_upto(r, inst.a, d)
     values = []
     for m in range(1, r + 1):
         acc = Fraction(0)
         for k in range(m - 1, r):
-            term = (
-                bracket[k]
-                * comb(k, m - 1)
-                * Fraction(1, d**k)
-                * alpha(k - m + 1, inst.a, d)
-            )
+            term = bracket[k] * comb(k, m - 1) * Fraction(1, d**k) * alphas[k - m + 1]
             acc = acc - term if (k - m + 1) & 1 else acc + term
         values.append(acc / (d * factorial(r - 1)))
     return ResidueVector(values=tuple(values))
 
 
 def residues_bernoulli_barnes(a: Sequence[int]) -> ResidueVector:
-    """R_m = ((-1)^{r-m}/((m-1)!(r-m)!)) * B_{r-m}(a_1,...,a_r).
+    """R_m = ((-1)^{r-m}/((m-1)!(r-m)!)) * B_{r-m}(a_1,...,a_r), reading
+    B_0(a)..B_{r-1}(a) off one reciprocal series (see :func:`bernoulli_barnes`).
 
     The (r-m)! undoes the multinomial normalization baked into the
-    Bernoulli-Barnes expansion; dropping it inflates R_m by exactly that
+    Bernoulli-Barnes numbers; dropping it inflates R_m by exactly that
     factor for r - m >= 2 (easily seen on a = (1,1,1), whose residues can be
     read straight off p(n) = (n^2+3n+2)/2)."""
     inst = make_instance(a)
     r = inst.r
-    values = []
-    for m in range(1, r + 1):
-        sign = -1 if (r - m) & 1 else 1
-        values.append(
-            sign * bernoulli_barnes(r - m, inst.a) / (factorial(m - 1) * factorial(r - m))
-        )
-    return ResidueVector(values=tuple(values))
+    barnes = _bernoulli_barnes_upto(r, inst.a)
+    return ResidueVector(values=tuple(
+        (-1) ** (r - m) * barnes[r - m] / (factorial(m - 1) * factorial(r - m)) for m in range(1, r + 1)
+    ))
 
 
 def polypart_from_residues(res: ResidueVector) -> RationalPolynomial:

@@ -12,6 +12,7 @@ route-pair).
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -101,6 +102,7 @@ class CheckFailure:
 class SelfCheckReport:
     seed: int
     checks: list[tuple[str, int]] = field(default_factory=list)
+    ms: list[float] = field(default_factory=list)  # wall time of each entry of checks
     failure: CheckFailure | None = None
 
     @property
@@ -111,7 +113,10 @@ class SelfCheckReport:
         out = {
             "seed": str(self.seed),
             "ok": self.ok,
-            "checks": [{"name": name, "cases": str(cases)} for name, cases in self.checks],
+            "checks": [
+                {"name": name, "cases": str(cases), "ms": ms}
+                for (name, cases), ms in zip(self.checks, self.ms)
+            ],
         }
         if self.failure is not None:
             f = self.failure
@@ -144,6 +149,14 @@ def run_selfcheck(
     pool = sample_instances(
         instances, max_r=max_r, max_entry=max_entry, seed=seed, box_budget=box_budget
     )
+    started = time.perf_counter()
+
+    def passed(name, cases):
+        nonlocal started
+        now = time.perf_counter()
+        report.checks.append((name, cases))
+        report.ms.append(round((now - started) * 1000.0, 3))
+        started = now
 
     # Route agreement: product, stirling and quasipoly evaluation vs the oracle.
     cases = 0
@@ -165,7 +178,7 @@ def run_selfcheck(
                         f"{name}={got}, oracle={want}",
                     )
                 cases += 1
-    report.checks.append(("route-agreement", cases))
+    passed("route-agreement", cases)
 
     # Popoviciu vs oracle on coprime pairs drawn from the pool entries.
     cases = 0
@@ -184,7 +197,7 @@ def run_selfcheck(
                     f"popoviciu={got}, oracle={oracle[n]}",
                 )
             cases += 1
-    report.checks.append(("popoviciu", cases))
+    passed("popoviciu", cases)
 
     # D-invariance: values and box-average polynomial under lcm/product/2*lcm.
     cases = 0
@@ -211,7 +224,7 @@ def run_selfcheck(
                 f"coefficients {polys}",
             )
         cases += 1
-    report.checks.append(("d-invariance", cases))
+    passed("d-invariance", cases)
 
     # Polynomial part: four routes, coefficientwise.
     cases = 0
@@ -228,7 +241,7 @@ def run_selfcheck(
                 f"{ {k: [str(c) for c in v] for k, v in routes.items()} }",
             )
         cases += 1
-    report.checks.append(("polypart-agreement", cases))
+    passed("polypart-agreement", cases)
 
     # Residues: the mean of the degree-(m-1) quasi-polynomial column equals R_m.
     cases = 0
@@ -244,7 +257,7 @@ def run_selfcheck(
                     f"mean={mean}, R_{m}={res.residue_at(m)}",
                 )
             cases += 1
-    report.checks.append(("residue-mean", cases))
+    passed("residue-mean", cases)
 
     # Fiber cardinality: #fiber(v) = g*D^{r-1}/prod(a) when g | v, else 0.
     cases = 0
@@ -261,7 +274,7 @@ def run_selfcheck(
                     f"counted {size}, formula {want}",
                 )
             cases += 1
-    report.checks.append(("fiber-cardinality", cases))
+    passed("fiber-cardinality", cases)
 
     # Zero characterization against the oracle.
     cases = 0
@@ -277,7 +290,7 @@ def run_selfcheck(
                     f"is_zero={is_zero(a, n, index=index)}, oracle={oracle[n]}",
                 )
             cases += 1
-    report.checks.append(("zero-characterization", cases))
+    passed("zero-characterization", cases)
 
     # Frobenius: fiber-minima method vs representability scan (and pair formula).
     cases = 0
@@ -301,6 +314,6 @@ def run_selfcheck(
                 f"pair={frobenius_pair(*a).value}, general={general.value}",
             )
         cases += 1
-    report.checks.append(("frobenius", cases))
+    passed("frobenius", cases)
 
     return report

@@ -228,9 +228,15 @@ class TestSelfcheck:
         code1, env1 = run_json(capsys, *args)
         code2, env2 = run_json(capsys, *args)
         assert code1 == code2 == 0
+        # everything but the per-check wall times is reproducible
+        for env in (env1, env2):
+            assert all(chk.pop("ms") >= 0 for chk in env["result"]["checks"])
         assert env1["result"] == env2["result"]
         assert env1["result"]["ok"] is True
         assert env1["instance"] is None
+        # the schema requires the time of each check
+        with pytest.raises(jsonschema.ValidationError):
+            VALIDATOR.validate(env1)
 
 
 class TestBench:
@@ -248,6 +254,21 @@ class TestBench:
     def test_rejects_unknown_method(self, capsys):
         code, _, err = run_cli(capsys, "bench", "-a", "3,5", "-n", "10", "--methods", "magic")
         assert code == 2
+
+    @pytest.mark.parametrize("n_max", [2**53 + 1, 10**400])
+    def test_points_are_exact_integers(self, capsys, n_max):
+        # float division sampled 2^53 for 2^53 + 1 and overflowed at 10^400
+        code, env = run_json(
+            capsys, "bench", "-a", "3,5", "-n", str(n_max), "--points", "3", "--methods", "popoviciu",
+        )
+        assert code == 0
+        assert env["result"]["points"] == ["0", str(n_max // 2), str(n_max)]
+
+    @pytest.mark.parametrize("count", ["0", "-1", str(cli.MAX_N_VALUES + 1)])
+    def test_points_out_of_range_is_usage_error(self, capsys, count):
+        code, out, err = run_cli(capsys, "bench", "-a", "3,5", "-n", "10", "--points", count)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "--points" in err
 
 
 class TestPlainRendering:

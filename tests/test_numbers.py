@@ -1,8 +1,11 @@
 """Special-number sequences against independent oracles.
 
 Oracles here avoid the library's code paths: power sums by direct loops,
-box power sums by direct box enumeration, Bernoulli-Barnes numbers by a
-power-series reciprocal that never touches Bernoulli numbers.
+box power sums by direct box enumeration, Bernoulli-Barnes numbers by the
+product of Bernoulli-number series (the library takes the reciprocal of a
+series free of Bernoulli numbers), and both Bernoulli-Barnes numbers and box
+power sums by the multinomial sums over compositions that the library's
+truncated power series replace.
 """
 
 import itertools
@@ -18,10 +21,10 @@ from denumerant import (
     bernoulli,
     bernoulli_barnes,
     faulhaber_sum,
+    polypart_bernoulli,
     rising_factorial_coeffs,
     rising_factorial_eval,
 )
-from denumerant.numbers import iter_compositions
 
 # classical values, B_1 = -1/2 convention
 BERNOULLI_TABLE = [
@@ -41,30 +44,60 @@ BERNOULLI_TABLE = [
 ]
 
 
-def series_reciprocal(g: list[Fraction], order: int) -> list[Fraction]:
-    """Coefficients of 1/g(z) up to z^order, for g with nonzero constant term."""
-    h = [Fraction(1) / g[0]]
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            gk = g[k] if k < len(g) else Fraction(0)
-            acc += gk * h[n - k]
-        h.append(-acc / g[0])
-    return h
+def compositions(total: int, parts: int):
+    """Every tuple of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def bernoulli_barnes_composition_oracle(j: int, a: tuple[int, ...]) -> Fraction:
+    """B_j(a) as the multinomial sum over compositions i_1+...+i_r = j of
+    C(j; i) * B_{i_1}...B_{i_r} * a_1^{i_1-1}...a_r^{i_r-1}."""
+    total = Fraction(0)
+    for comp in compositions(j, len(a)):
+        term = Fraction(factorial(j))
+        for ai, i in zip(a, comp):
+            term *= bernoulli(i) * Fraction(ai) ** (i - 1) / factorial(i)
+        total += term
+    return total
 
 
 def bernoulli_barnes_series_oracle(j: int, a: tuple[int, ...]) -> Fraction:
-    """B_j(a) from the reciprocal of prod_i (e^{a_i z}-1)/z, no Bernoulli numbers."""
-    order = j + 1
-    prod_series = [Fraction(1)] + [Fraction(0)] * order
+    """B_j(a) from the product of the Bernoulli-number series
+    sum_k B_k a_i^{k-1} z^k / k!, one per weight."""
+    prod_series = [Fraction(1)] + [Fraction(0)] * j
     for ai in a:
-        f = [Fraction(ai ** (k + 1), factorial(k + 1)) for k in range(order + 1)]
-        nxt = [Fraction(0)] * (order + 1)
-        for p in range(order + 1):
-            for q in range(order + 1 - p):
-                nxt[p + q] += prod_series[p] * f[q]
-        prod_series = nxt
-    return factorial(j) * series_reciprocal(prod_series, j)[j]
+        f = [bernoulli(k) * Fraction(ai) ** (k - 1) / factorial(k) for k in range(j + 1)]
+        prod_series = [sum(prod_series[p] * f[n - p] for p in range(n + 1)) for n in range(j + 1)]
+    return factorial(j) * prod_series[j]
+
+
+def alpha_composition_oracle(t: int, a: tuple[int, ...], d: int) -> Fraction:
+    """alpha(t, a, d) as t! times the sum over compositions i_1+...+i_r = t
+    of the per-axis factors sum_{j < d/a_k} (a_k j)^{i_k} / i_k!, each summed
+    directly along its axis."""
+    factors = [
+        [Fraction(sum((ai * j) ** i for j in range(d // ai)), factorial(i)) for i in range(t + 1)]
+        for ai in a
+    ]
+    total = Fraction(0)
+    for comp in compositions(t, len(a)):
+        term = Fraction(1)
+        for axis, i in enumerate(comp):
+            term *= factors[axis][i]
+        total += term
+    return factorial(t) * total
+
+
+# r <= 5, with repeated, coprime and non-coprime weights
+SMALL_TUPLES = [
+    (1,), (3,), (1, 2), (2, 3), (4, 6), (1, 1, 1), (2, 3, 4), (3, 5, 7),
+    (1, 2, 3, 4), (2, 2, 3, 5), (1, 2, 3, 4, 5), (2, 3, 4, 6, 9),
+]
 
 
 class TestRisingFactorial:
@@ -115,28 +148,6 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             bernoulli(-1)
 
-    def test_concurrent_fill(self):
-        # hammer the memo table from scratch on several threads at once
-        import importlib
-        import threading
-
-        import denumerant.numbers as numbers_module
-
-        importlib.reload(numbers_module)
-        results = []
-
-        def worker():
-            results.append([numbers_module.bernoulli(j) for j in range(40)])
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        importlib.reload(numbers_module)  # restore the module-level cache for other tests
-        assert all(row == results[0] for row in results)
-        assert results[0][:13] == BERNOULLI_TABLE
-
 
 class TestBernoulliBarnes:
     @pytest.mark.parametrize(
@@ -161,6 +172,20 @@ class TestBernoulliBarnes:
     def test_against_series_oracle(self, a):
         for j in range(6):
             assert bernoulli_barnes(j, a) == bernoulli_barnes_series_oracle(j, a)
+
+    @pytest.mark.parametrize("a", SMALL_TUPLES)
+    def test_against_composition_oracle(self, a):
+        for j in range(9):
+            assert bernoulli_barnes(j, a) == bernoulli_barnes_composition_oracle(j, a)
+
+    @pytest.mark.parametrize("a", [(1, 2), (2, 3, 4), (2, 2, 3, 5), (3, 5, 7, 11, 13, 17)])
+    def test_matches_polypart_bernoulli(self, a):
+        # the n^{r-1-u} coefficient of P_a is (-1)^u B_u(a) / (u! (r-1-u)!)
+        r = len(a)
+        coeffs = polypart_bernoulli(a).coeffs
+        for u in range(r):
+            want = (-1) ** u * bernoulli_barnes(u, a) / (factorial(u) * factorial(r - 1 - u))
+            assert coeffs[r - 1 - u] == want
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -218,17 +243,8 @@ class TestAlpha:
         with pytest.raises(ValueError):
             alpha(1, (2, 3), 8)
 
-
-class TestCompositions:
-    def test_lexicographic_and_complete(self):
-        got = list(iter_compositions(3, 2))
-        assert got == [(0, 3), (1, 2), (2, 1), (3, 0)]
-        assert got == sorted(got)
-
-    def test_counts(self):
-        from math import comb
-
-        for total in range(6):
-            for parts in range(1, 5):
-                n = sum(1 for _ in iter_compositions(total, parts))
-                assert n == comb(total + parts - 1, parts - 1)
+    @pytest.mark.parametrize("a", SMALL_TUPLES)
+    def test_against_composition_oracle(self, a):
+        d = lcm(*a)
+        for t in range(9):
+            assert alpha(t, a, d) == alpha_composition_oracle(t, a, d)

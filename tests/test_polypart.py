@@ -1,5 +1,6 @@
 """Polynomial part and Dirichlet residues: four routes, one polynomial."""
 
+import random
 from fractions import Fraction
 from math import factorial, prod
 
@@ -125,6 +126,30 @@ class TestCrossRouteAgreement:
         for a in [(2,), (2, 3), (4, 6), (2, 3, 4), (6, 10, 15)]:
             lead = polypart_box_average(a).coeffs[-1]
             assert lead == F(1, factorial(len(a) - 1) * prod(a))
+
+
+class TestHighR:
+    """r = 10..12, where the sums over compositions took seconds to minutes;
+    too large a box for the box average, so the three series routes are
+    checked against each other and the leading-coefficient law."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            tuple(range(2, 14)),
+            tuple(sorted(random.Random(10).sample(range(2, 40), 10))),
+            tuple(sorted(random.Random(11).sample(range(2, 40), 11))),
+        ],
+    )
+    def test_series_routes_agree(self, a):
+        r = len(a)
+        coeffs = polypart_bernoulli(a).coeffs
+        assert len(coeffs) == r
+        assert coeffs[-1] == F(1, factorial(r - 1) * prod(a))
+        assert residues_bernoulli_barnes(a).values == coeffs
+        powersum = residues_powersum(a, "lcm").values
+        assert powersum == coeffs
+        assert residues_powersum(a, 2 * make_instance(a).D).values == powersum
 
 
 class TestPolynomialBehavior:
