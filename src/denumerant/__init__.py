@@ -30,7 +30,6 @@ from .numbers import (
     alpha,
     bernoulli,
     bernoulli_barnes,
-    faulhaber_sum,
     rising_factorial_coeffs,
     rising_factorial_eval,
 )
@@ -46,16 +45,12 @@ from .partition import (
     p_stirling,
     p_unrestricted,
     quasipoly,
-    quasipoly_from_json,
-    quasipoly_to_json,
     route_for,
 )
 from .polypart import (
     RationalPolynomial,
     ResidueVector,
     format_polynomial,
-    polynomial_from_json,
-    polynomial_to_json,
     polypart_bernoulli,
     polypart_box_average,
     polypart_from_residues,
@@ -83,7 +78,6 @@ __all__ = [
     "bernoulli_barnes",
     "box_sum_histogram",
     "build_fiber_index",
-    "faulhaber_sum",
     "fiber",
     "format_polynomial",
     "frobenius_general",
@@ -99,14 +93,10 @@ __all__ = [
     "p_quasipoly",
     "p_stirling",
     "p_unrestricted",
-    "polynomial_from_json",
-    "polynomial_to_json",
     "polypart_bernoulli",
     "polypart_box_average",
     "polypart_from_residues",
     "quasipoly",
-    "quasipoly_from_json",
-    "quasipoly_to_json",
     "representability_scan",
     "residues_bernoulli_barnes",
     "residues_powersum",

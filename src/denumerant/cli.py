@@ -30,9 +30,7 @@ from .congruence import (
 from .frobenius import frobenius_general, frobenius_pair
 from .partition import (
     p,
-    p_oracle,
     p_oracle_upto,
-    p_popoviciu,
     p_product,
     p_quasipoly,
     p_stirling,
@@ -57,8 +55,6 @@ EXIT_MISMATCH = 4
 MAX_N_VALUES = 10**6  # most values one -n lo..hi range may hold
 
 _EVAL_METHODS = ("auto", "product", "stirling", "quasipoly", "popoviciu", "oracle")
-_POLYPART_METHODS = ("bernoulli", "box", "powersum", "barnes")
-_RESIDUE_METHODS = ("barnes", "powersum")
 
 
 class UsageError(Exception):
@@ -93,6 +89,10 @@ def _poly_json(poly) -> dict:
         "coeffs": [_frac_json(c) for c in poly.coeffs],
         "pretty": format_polynomial(poly),
     }
+
+
+def _residues_json(res) -> dict:
+    return {f"R_{m}": _frac_json(v) for m, v in enumerate(res.values, 1)}
 
 
 def _instance_json(inst: Instance) -> dict:
@@ -165,48 +165,70 @@ def _max_box(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# routes: the eval evaluator and the polynomial-part and residue tables
+
+def _check_method(method: str, inst: Instance) -> None:
+    if method == "popoviciu" and not (inst.r == 2 and inst.g == 1):
+        raise UsageError(
+            "popoviciu needs exactly two coprime weights; "
+            f"got a={inst.a} with gcd {inst.g}"
+        )
+
+
+def _evaluator(method: str, inst: Instance, n_max: int, several: bool, max_box: int):
+    """n -> p_a(n) by an eval method, after its one-time set-up: the oracle's
+    DP table up to n_max, the quasi-polynomial table, or the fiber index when
+    several n share it (a single n reads one fiber)."""
+    if method == "oracle":
+        return p_oracle_upto(inst.a, n_max, max_box=max_box).__getitem__
+    if method == "popoviciu":  # p() divides out gcd(a) for an auto-routed pair
+        return lambda n: p(inst.a, n, inst.D, max_box=max_box)
+    if method == "quasipoly":
+        qp = quasipoly(inst.a, inst.D, max_box=max_box)
+        return lambda n: p_quasipoly(qp, n)
+    fn = p_product if method == "product" else p_stirling
+    if several:
+        index = build_fiber_index(inst, max_box)
+        return lambda n: fn(inst.a, n, index=index)
+    return lambda n: fn(inst.a, n, inst.D, max_box=max_box)
+
+
+# Each route takes (instance, args); only "box" reads the size guard.
+_POLYPART_ROUTES = {
+    "bernoulli": lambda inst, args: polypart_bernoulli(inst.a),
+    "box": lambda inst, args: polypart_box_average(inst.a, inst.D, max_box=_max_box(args)),
+    "powersum": lambda inst, args: polypart_from_residues(residues_powersum(inst.a, inst.D)),
+    "barnes": lambda inst, args: polypart_from_residues(residues_bernoulli_barnes(inst.a)),
+}
+_RESIDUE_ROUTES = {
+    "barnes": lambda inst, args: residues_bernoulli_barnes(inst.a),
+    "powersum": lambda inst, args: residues_powersum(inst.a, inst.D),
+}
+_POLYPART_METHODS = tuple(_POLYPART_ROUTES)
+_RESIDUE_METHODS = tuple(_RESIDUE_ROUTES)
+
+
+# ---------------------------------------------------------------------------
 # subcommand handlers: each returns (instance | None, result dict, exit code)
 
 def _cmd_eval(args):
     inst = _make_instance(args)
     ns = _parse_n_range(args.n)
     max_box = _max_box(args)
-    method = args.method
-
-    if method == "popoviciu" and not (inst.r == 2 and inst.g == 1):
-        raise UsageError(
-            "--method popoviciu needs exactly two coprime weights; "
-            f"got a={inst.a} with gcd {inst.g}"
-        )
-
-    resolved = route_for(inst, ns[-1], max_box) if method == "auto" else method
-    if resolved == "oracle":
-        table = p_oracle_upto(inst.a, ns[-1], max_box=max_box)
-        values = [(n, table[n]) for n in ns]
-    elif resolved == "popoviciu":  # p() divides out gcd(a) for an auto-routed pair
-        values = [(n, p(inst.a, n, inst.D, max_box=max_box)) for n in ns]
-    elif resolved == "quasipoly":
-        qp = quasipoly(inst.a, index=build_fiber_index(inst, max_box))
-        values = [(n, p_quasipoly(qp, n)) for n in ns]
-    else:
-        fn = p_product if resolved == "product" else p_stirling
-        if len(ns) > 1:
-            index = build_fiber_index(inst, max_box)
-            values = [(n, fn(inst.a, n, index=index)) for n in ns]
-        else:
-            values = [(n, fn(inst.a, n, inst.D, max_box=max_box)) for n in ns]
-
+    _check_method(args.method, inst)
+    resolved = route_for(inst, ns[-1], max_box) if args.method == "auto" else args.method
+    value_at = _evaluator(resolved, inst, ns[-1], len(ns) > 1, max_box)
     result = {
-        "method": method,
+        "method": args.method,
         "resolved_method": resolved,
-        "values": [{"n": str(n), "p": str(v)} for n, v in values],
+        "values": [{"n": str(n), "p": str(value_at(n))} for n in ns],
     }
     return inst, result, EXIT_OK
 
 
 def _cmd_quasipoly(args):
     inst = _make_instance(args)
-    qp = quasipoly(inst.a, index=build_fiber_index(inst, _max_box(args)))
+    qp = quasipoly(inst.a, inst.D, max_box=_max_box(args))
     result = {
         "a": [str(x) for x in inst.a],
         "D": str(inst.D),
@@ -215,59 +237,31 @@ def _cmd_quasipoly(args):
     return inst, result, EXIT_OK
 
 
-def _polypart_route(name: str, inst: Instance, args):
-    if name == "bernoulli":
-        return polypart_bernoulli(inst.a)
-    if name == "box":
-        return polypart_box_average(inst.a, inst.D, max_box=_max_box(args))
-    if name == "powersum":
-        return polypart_from_residues(residues_powersum(inst.a, inst.D))
-    return polypart_from_residues(residues_bernoulli_barnes(inst.a))
+def _run_routes(args, routes: dict, key: str, render):
+    """Run the route args.method names and render it under `key`; with
+    --check run every route of the table too, and exit 4 unless all agree."""
+    inst = _make_instance(args)
+    value = routes[args.method](inst, args)
+    result = {"method": args.method, key: render(value), "check": "not-run"}
+    if not args.check:
+        return inst, result, EXIT_OK
+    got = {
+        name: value if name == args.method else route(inst, args) for name, route in routes.items()
+    }
+    if len(set(got.values())) == 1:
+        result["check"] = "pass"
+        return inst, result, EXIT_OK
+    result["check"] = "fail"
+    result["routes"] = {name: render(v) for name, v in got.items()}
+    return inst, result, EXIT_MISMATCH
 
 
 def _cmd_polypart(args):
-    inst = _make_instance(args)
-    poly = _polypart_route(args.method, inst, args)
-    result = {"method": args.method, "polynomial": _poly_json(poly), "check": "not-run"}
-    code = EXIT_OK
-    if args.check:
-        routes = {name: _polypart_route(name, inst, args) for name in _POLYPART_METHODS}
-        if len({r.coeffs for r in routes.values()}) == 1:
-            result["check"] = "pass"
-        else:
-            result["check"] = "fail"
-            result["routes"] = {name: _poly_json(r) for name, r in routes.items()}
-            code = EXIT_MISMATCH
-    return inst, result, code
-
-
-def _residue_route(name: str, inst: Instance):
-    if name == "powersum":
-        return residues_powersum(inst.a, inst.D)
-    return residues_bernoulli_barnes(inst.a)
+    return _run_routes(args, _POLYPART_ROUTES, "polynomial", _poly_json)
 
 
 def _cmd_residues(args):
-    inst = _make_instance(args)
-    res = _residue_route(args.method, inst)
-    result = {
-        "method": args.method,
-        "residues": {f"R_{m}": _frac_json(res.residue_at(m)) for m in range(1, inst.r + 1)},
-        "check": "not-run",
-    }
-    code = EXIT_OK
-    if args.check:
-        routes = {name: _residue_route(name, inst) for name in _RESIDUE_METHODS}
-        if len({r.values for r in routes.values()}) == 1:
-            result["check"] = "pass"
-        else:
-            result["check"] = "fail"
-            result["routes"] = {
-                name: {f"R_{m}": _frac_json(r.residue_at(m)) for m in range(1, inst.r + 1)}
-                for name, r in routes.items()
-            }
-            code = EXIT_MISMATCH
-    return inst, result, code
+    return _run_routes(args, _RESIDUE_ROUTES, "residues", _residues_json)
 
 
 def _cmd_frobenius(args):
@@ -332,34 +326,19 @@ def _cmd_bench(args):
         if inst.r == 2 and inst.g == 1:
             wanted.append("popoviciu")
     for m in wanted:
-        if m not in _EVAL_METHODS or m == "auto":
+        if m not in _EVAL_METHODS[1:]:
             raise UsageError(f"--methods entries must be one of {_EVAL_METHODS[1:]}, got {m!r}")
-        if m == "popoviciu" and not (inst.r == 2 and inst.g == 1):
-            raise UsageError("popoviciu cannot run: weights are not a coprime pair")
+        _check_method(m, inst)
 
     rows = []
     per_method_values = {}
     for method in wanted:
-        setup_ms = 0.0
         t0 = time.perf_counter()
-        if method in ("product", "stirling", "quasipoly"):
-            index = build_fiber_index(inst, max_box)
-            qp = quasipoly(inst.a, index=index) if method == "quasipoly" else None
-            setup_ms = (time.perf_counter() - t0) * 1000.0
-            t1 = time.perf_counter()
-            if method == "quasipoly":
-                vals = [p_quasipoly(qp, n) for n in points]
-            else:
-                fn = p_product if method == "product" else p_stirling
-                vals = [fn(inst.a, n, index=index) for n in points]
-            query_ms = (time.perf_counter() - t1) * 1000.0
-        elif method == "popoviciu":
-            vals = [p_popoviciu(inst.a[0], inst.a[1], n) for n in points]
-            query_ms = (time.perf_counter() - t0) * 1000.0
-        else:  # the largest point first, so the oracle's guard trips before any DP runs
-            vals = [p_oracle(inst.a, n, max_box=max_box) for n in points[::-1]][::-1]
-            query_ms = (time.perf_counter() - t0) * 1000.0
-        per_method_values[method] = vals
+        value_at = _evaluator(method, inst, n_max, len(points) > 1, max_box)
+        t1 = time.perf_counter()
+        per_method_values[method] = [value_at(n) for n in points]
+        setup_ms = (t1 - t0) * 1000.0
+        query_ms = (time.perf_counter() - t1) * 1000.0
         rows.append(
             {
                 "method": method,
@@ -377,8 +356,8 @@ def _cmd_bench(args):
         "values_agree": agree,
         "values": [str(v) for v in per_method_values[wanted[0]]],
         "note": (
-            "setup_ms covers the one-time fiber-index (and coefficient-table) build;"
-            " point queries amortize it"
+            "setup_ms covers each method's one-time table (fiber index, quasi-polynomial"
+            " table or oracle DP table), as eval builds it; point queries amortize it"
         ),
     }
     return inst, result, EXIT_OK if agree else EXIT_MISMATCH

@@ -119,7 +119,7 @@ class FiberIndex:
         object.__setattr__(self, "fibers", MappingProxyType(dict(self.fibers)))
 
     def fiber(self, n: int) -> Fiber:
-        v = n % self.instance.D
+        v = _check_n(n) % self.instance.D
         got = self.fibers.get(v)
         return got if got is not None else Fiber(v, (), ())
 
@@ -154,6 +154,12 @@ def make_instance(a: Sequence[int], d_choice: DChoice = "lcm") -> Instance:
     else:
         raise ValueError(f"d_choice must be 'lcm', 'product', or an int, got {d_choice!r}")
     return Instance(a=a, D=d, g=gcd(*a))
+
+
+def _check_n(n: int) -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    return n
 
 
 def _guard(size: int, max_box: int, what: str = "box-sum histogram length") -> None:
@@ -211,9 +217,7 @@ def fiber(inst: Instance, n: int, max_box: int = DEFAULT_MAX_BOX) -> Fiber:
     Two fibers build nothing: a residue not divisible by gcd(a) has an empty
     fiber, and for r = 1 H is 1 + z^a + ... + z^(D-a), one tuple per sum.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    target = n % inst.D
+    target = _check_n(n) % inst.D
     if target % inst.g:
         return Fiber(target, (), ())
     if inst.r == 1:

@@ -58,8 +58,8 @@ def frobenius_general(
     index = build_fiber_index(inst, max_box)
     best = None
     best_v = None
-    for v in range(inst.D):
-        ms = index.fiber(v).min_sum
+    for v, fib in index.fibers.items():  # every residue 0..D-1, ascending, as g = 1
+        ms = fib.min_sum
         if ms is None:
             raise AssertionError(f"gcd-1 instance {inst.a} has an empty fiber at {v}")
         if best is None or ms > best:

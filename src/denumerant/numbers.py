@@ -21,7 +21,6 @@ __all__ = [
     "rising_factorial_eval",
     "bernoulli",
     "bernoulli_barnes",
-    "faulhaber_sum",
     "alpha",
 ]
 
@@ -123,28 +122,6 @@ def bernoulli_barnes(j: int, a: Sequence[int]) -> Fraction:
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
     return _bernoulli_barnes_upto(j + 1, a)[j]
-
-
-def faulhaber_sum(n: int, k: int) -> Fraction:
-    """Power sum 0^k + 1^k + ... + (n-1)^k as an exact (integer-valued) Fraction.
-
-    For k > 0 this is evaluated through the Bernoulli expansion
-    (1/(k+1)) * sum_j C(k+1,j) B_j n^{k+1-j}; for k = 0 it counts the n terms
-    m = 0..n-1 (0^0 taken as 1), which is the convention the box power sums
-    below rely on.
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if k == 0:
-        return Fraction(n)
-    acc = Fraction(0)
-    for j in range(k + 1):
-        b = bernoulli(j)
-        if b:
-            acc += comb(k + 1, j) * b * n ** (k + 1 - j)
-    return acc / (k + 1)
 
 
 def _alpha_factor(i: int, ai: int, d: int) -> Fraction:

@@ -35,6 +35,7 @@ from .congruence import (
     Fiber,
     FiberIndex,
     Instance,
+    _check_n,
     _guard,
     build_fiber_index,
     fiber,
@@ -55,8 +56,6 @@ __all__ = [
     "p_unrestricted",
     "route_for",
     "p",
-    "quasipoly_to_json",
-    "quasipoly_from_json",
 ]
 
 
@@ -73,17 +72,17 @@ class QuasiPolynomial:
         return self.coeffs[m][v % self.instance.D]
 
 
-def _check_n(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    return n
-
-
 def _exact_div(total: int, den: int, what: str) -> int:
     q, rem = divmod(total, den)
     if rem:
         raise ArithmeticError(f"{what}: {total} is not divisible by {den}")
     return q
+
+
+def _check_index(index: FiberIndex, a: Sequence[int]) -> Instance:
+    if index.instance.a != tuple(a):
+        raise ValueError(f"index was built for {index.instance.a}, not {tuple(a)}")
+    return index.instance
 
 
 def _resolve_fiber(
@@ -94,9 +93,7 @@ def _resolve_fiber(
     max_box: int,
 ) -> tuple[Instance, Fiber]:
     if index is not None:
-        if index.instance.a != tuple(a):
-            raise ValueError(f"index was built for {index.instance.a}, not {tuple(a)}")
-        return index.instance, index.fiber(n)
+        return _check_index(index, a), index.fiber(n)
     inst = make_instance(a, d_choice)
     return inst, fiber(inst, n, max_box)
 
@@ -130,7 +127,6 @@ def p_product(
     """p_a(n) as (1/(r-1)!) * sum over the fiber of n of the rising factorial
     of (n - a.j)/D, one term per distinct weighted sum times its tuple count.
     Pass a prebuilt `index` to amortize fiber construction."""
-    _check_n(n)
     inst, fib = _resolve_fiber(a, n, d_choice, index, max_box)
     r, d = inst.r, inst.D
     total = 0
@@ -175,7 +171,6 @@ def p_stirling(
     Algebraically identical to :func:`p_product` but follows the power-basis
     form: for each degree m it sums the alternating Stirling kernel over the
     fiber, then evaluates sum_m c_m n^m / ((r-1)! D^{r-1})."""
-    _check_n(n)
     inst, fib = _resolve_fiber(a, n, d_choice, index, max_box)
     r, d = inst.r, inst.D
     row = _stirling_row(r, d, zip(fib.sums, fib.counts))
@@ -198,9 +193,7 @@ def quasipoly(
     """The full coefficient table d[m][v] of the quasi-polynomial p_a."""
     if index is None:
         index = build_fiber_index(make_instance(a, d_choice), max_box)
-    elif index.instance.a != tuple(a):
-        raise ValueError(f"index was built for {index.instance.a}, not {tuple(a)}")
-    inst = index.instance
+    inst = _check_index(index, a)
     r, d = inst.r, inst.D
     scale = d ** (r - 1) * factorial(r - 1)
     table = [[0] * d for _ in range(r)]
@@ -257,7 +250,6 @@ def is_zero(
     sum in the fiber of n exceeds n (vacuously so for an empty fiber)."""
     if index is None:
         return p(a, n, d_choice, max_box=max_box) == 0
-    _check_n(n)
     _, fib = _resolve_fiber(a, n, d_choice, index, max_box)
     return all(s > n for s in fib.sums)
 
@@ -308,29 +300,3 @@ def p(
     if route == "product":
         return p_product(a, n, d_choice, max_box=max_box)
     return p_oracle(a, n, max_box=max_box)
-
-
-def quasipoly_to_json(qp: QuasiPolynomial) -> dict:
-    """JSON-ready dict {a, D, coeffs}; coeffs is row-major by degree m then
-    residue v, each entry a [numerator, denominator] pair of decimal strings."""
-    return {
-        "a": [str(x) for x in qp.instance.a],
-        "D": str(qp.instance.D),
-        "coeffs": [
-            [str(c.numerator), str(c.denominator)]
-            for row in qp.coeffs
-            for c in row
-        ],
-    }
-
-
-def quasipoly_from_json(data: dict) -> QuasiPolynomial:
-    """Inverse of :func:`quasipoly_to_json` (D is taken as given)."""
-    a = tuple(int(x) for x in data["a"])
-    inst = make_instance(a, int(data["D"]))
-    d, r = inst.D, inst.r
-    flat = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
-    if len(flat) != r * d:
-        raise ValueError(f"expected {r * d} coefficients, got {len(flat)}")
-    coeffs = tuple(tuple(flat[m * d : (m + 1) * d]) for m in range(r))
-    return QuasiPolynomial(instance=inst, coeffs=coeffs)

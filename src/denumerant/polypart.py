@@ -27,7 +27,7 @@ from .congruence import (
 from .numbers import (
     _alpha_upto, _bernoulli_barnes_upto, _truncated_product, bernoulli, rising_factorial_coeffs,
 )
-from .partition import _stirling_row
+from .partition import _check_index, _stirling_row
 
 __all__ = [
     "RationalPolynomial",
@@ -37,8 +37,6 @@ __all__ = [
     "residues_powersum",
     "residues_bernoulli_barnes",
     "polypart_from_residues",
-    "polynomial_to_json",
-    "polynomial_from_json",
     "format_polynomial",
 ]
 
@@ -105,9 +103,7 @@ def polypart_box_average(
     result is exact; no interpolation happens.
     """
     if index is not None:
-        if index.instance.a != tuple(a):
-            raise ValueError(f"index was built for {index.instance.a}, not {tuple(a)}")
-        inst = index.instance
+        inst = _check_index(index, a)
         pairs = (pair for f in index.fibers.values() for pair in zip(f.sums, f.counts))
     else:
         inst = make_instance(a, d_choice)
@@ -180,17 +176,6 @@ def residues_bernoulli_barnes(a: Sequence[int]) -> ResidueVector:
 def polypart_from_residues(res: ResidueVector) -> RationalPolynomial:
     """Assemble P(n) = R_r n^{r-1} + ... + R_2 n + R_1."""
     return RationalPolynomial(coeffs=tuple(res.values))
-
-
-def polynomial_to_json(poly: RationalPolynomial) -> list[list[str]]:
-    """[[num, den], ...] by ascending power, decimal strings."""
-    return [[str(c.numerator), str(c.denominator)] for c in poly.coeffs]
-
-
-def polynomial_from_json(data: Sequence[Sequence[str]]) -> RationalPolynomial:
-    return RationalPolynomial(
-        coeffs=tuple(Fraction(int(num), int(den)) for num, den in data)
-    )
 
 
 def _format_coeff(c: Fraction) -> str:

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from importlib.resources import files
 from unittest import mock
 
@@ -296,11 +298,38 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
 
+    def test_schema_enums_match_route_tables(self):
+        results = {
+            branch["if"]["properties"]["command"]["const"]: branch["then"]["properties"]["result"]["properties"]
+            for branch in SCHEMA["allOf"]
+        }
+        routes = set(cli._EVAL_METHODS) - {"auto"}
+        assert set(results["eval"]["method"]["enum"]) == routes | {"auto"}
+        assert set(results["eval"]["resolved_method"]["enum"]) == routes
+        assert set(results["bench"]["methods"]["items"]["properties"]["method"]["enum"]) == routes
+        assert set(results["polypart"]["method"]["enum"]) == set(cli._POLYPART_ROUTES)
+        assert set(results["residues"]["method"]["enum"]) == set(cli._RESIDUE_ROUTES)
+
+
+def test_module_entry_point():
+    # run as users and shell scripts do: a separate `python -m denumerant.cli`
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "denumerant.cli", "eval", "-a", "3,5", "-n", "8"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    envelope = json.loads(proc.stdout)
+    VALIDATOR.validate(envelope)
+    assert envelope["result"]["values"] == [{"n": "8", "p": "1"}]
+
 
 # ---------------------------------------------------------------------------
-# argv fuzz: every run exits in {0, 2, 3, 4} with one schema-valid envelope on
-# stdout or one line on stderr, never a traceback.  The argv always parses
-# (typed options get integers), so argparse's own usage text is not in play.
+# argv fuzz: every run exits in {0, 2, 3, 4} with one schema-valid envelope
+# (or, under --plain, text) on stdout or one line on stderr, never a
+# traceback.  The argv always parses (typed options get integers), so
+# argparse's own usage text is not in play.
 
 _good_weights = st.lists(st.integers(1, 40), min_size=1, max_size=4).map(lambda a: ",".join(map(str, a)))
 _weights = st.one_of(
@@ -341,10 +370,7 @@ _argv = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(_argv, _max_box, st.integers(-1, 10**5))
-def test_argv_fuzz(parts, max_box, env_guard):
-    argv = [x for part in parts for x in part] + max_box
+def _run_fuzzed(argv, env_guard):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"DENUMERANT_MAX_BOX": str(env_guard)}):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -353,6 +379,21 @@ def test_argv_fuzz(parts, max_box, env_guard):
     assert code in (0, 2, 3, 4), (argv, code)
     if out:
         assert code in (0, 4) and err == "", argv
-        VALIDATOR.validate(json.loads(out))
     else:
         assert code != 0 and err.count("\n") == 1, (argv, err)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv, _max_box, st.integers(-1, 10**5))
+def test_argv_fuzz(parts, max_box, env_guard):
+    out = _run_fuzzed([x for part in parts for x in part] + max_box, env_guard)
+    if out:
+        VALIDATOR.validate(json.loads(out))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv, _max_box, st.integers(-1, 10**5))
+def test_argv_fuzz_plain(parts, max_box, env_guard):
+    # the same draws rendered as plain text: output or one stderr line, no traceback
+    _run_fuzzed(["--plain"] + [x for part in parts for x in part] + max_box, env_guard)

@@ -157,6 +157,16 @@ class TestSingleFiber:
         with pytest.raises(ValueError):
             fiber(make_instance((2, 3)), -1)
 
+    def test_rejects_non_integer_n(self):
+        # 2.5 used to come back as the fiber of "residue 2.5"
+        with pytest.raises(ValueError):
+            fiber(make_instance((3, 5, 7)), 2.5)
+
+    def test_index_rejects_negative_n(self):
+        # -1 used to come back as the fiber of residue 14 = -1 mod 15
+        with pytest.raises(ValueError):
+            build_fiber_index(make_instance((3, 5))).fiber(-1)
+
     def test_guard(self):
         with pytest.raises(BoxTooLargeError):
             fiber(make_instance((2, 3)), 1, max_box=5)

@@ -20,7 +20,6 @@ from denumerant import (
     alpha,
     bernoulli,
     bernoulli_barnes,
-    faulhaber_sum,
     polypart_bernoulli,
     rising_factorial_coeffs,
     rising_factorial_eval,
@@ -190,21 +189,6 @@ class TestBernoulliBarnes:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             bernoulli_barnes(1, ())
-
-
-class TestFaulhaber:
-    @pytest.mark.parametrize("n,k,expected", [(5, 1, 10), (3, 2, 5), (1, 7, 0)])
-    def test_examples(self, n, k, expected):
-        got = faulhaber_sum(n, k)
-        assert got == expected and got.denominator == 1
-
-    @given(st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=10))
-    def test_matches_direct_loop(self, n, k):
-        assert faulhaber_sum(n, k) == sum(m**k for m in range(1, n))
-
-    def test_k_zero_counts_terms(self):
-        for n in range(8):
-            assert faulhaber_sum(n, 0) == n
 
 
 class TestAlpha:

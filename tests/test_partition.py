@@ -20,9 +20,8 @@ from denumerant import (
     p_quasipoly,
     p_stirling,
     p_unrestricted,
+    polypart_box_average,
     quasipoly,
-    quasipoly_from_json,
-    quasipoly_to_json,
     route_for,
     sample_instances,
 )
@@ -68,10 +67,21 @@ class TestProductRoute:
         for n in range(40):
             assert p_product((4, 6, 9), n, index=index) == p_product((4, 6, 9), n)
 
-    def test_rejects_foreign_index(self):
+    @pytest.mark.parametrize(
+        "route",
+        [
+            p_product,
+            p_stirling,
+            is_zero,
+            lambda a, n, index: quasipoly(a, index=index),
+            lambda a, n, index: polypart_box_average(a, index=index),
+        ],
+        ids=["p_product", "p_stirling", "is_zero", "quasipoly", "polypart_box_average"],
+    )
+    def test_rejects_foreign_index(self, route):
         index = build_fiber_index(make_instance((2, 3)))
-        with pytest.raises(ValueError):
-            p_product((3, 5), 4, index=index)
+        with pytest.raises(ValueError, match="index was built for"):
+            route((3, 5), 4, index=index)
 
 
 class TestStirlingRoute:
@@ -121,14 +131,6 @@ class TestQuasiPolynomial:
             top = 3 * qp.instance.D
             for n in range(top + 1):
                 p_quasipoly(qp, n)  # raises ArithmeticError on any non-integer
-
-    def test_json_round_trip(self):
-        qp = quasipoly((4, 6))
-        blob = quasipoly_to_json(qp)
-        assert blob["D"] == "12"
-        back = quasipoly_from_json(blob)
-        assert back.instance == qp.instance
-        assert back.coeffs == qp.coeffs
 
 
 class TestRouteAgreement:

@@ -10,8 +10,6 @@ from denumerant import (
     format_polynomial,
     make_instance,
     p_oracle_upto,
-    polynomial_from_json,
-    polynomial_to_json,
     polypart_bernoulli,
     polypart_box_average,
     polypart_from_residues,
@@ -188,9 +186,3 @@ class TestRendering:
     )
     def test_pretty(self, coeffs, expected):
         assert format_polynomial(RationalPolynomial(coeffs=coeffs)) == expected
-
-    def test_json_round_trip(self):
-        poly = polypart_bernoulli((2, 3, 4))
-        blob = polynomial_to_json(poly)
-        assert all(isinstance(part, str) for pair in blob for part in pair)
-        assert polynomial_from_json(blob) == poly
