@@ -7,6 +7,10 @@ routes that are cross-validated against a definitional dynamic-programming
 oracle.  All arithmetic is exact.
 """
 
+from time import perf_counter as _perf_counter
+
+_STARTED = _perf_counter()  # the CLI's process_ms counts from the package's first statement
+
 from .congruence import (
     DEFAULT_MAX_BOX,
     BoxTooLargeError,

@@ -19,6 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
+from . import _STARTED
 from .congruence import (
     DEFAULT_MAX_BOX,
     BoxTooLargeError,
@@ -29,7 +30,7 @@ from .congruence import (
 )
 from .frobenius import frobenius_general, frobenius_pair
 from .partition import (
-    p,
+    _popoviciu,
     p_oracle_upto,
     p_product,
     p_quasipoly,
@@ -181,8 +182,8 @@ def _evaluator(method: str, inst: Instance, n_max: int, several: bool, max_box: 
     several n share it (a single n reads one fiber)."""
     if method == "oracle":
         return p_oracle_upto(inst.a, n_max, max_box=max_box).__getitem__
-    if method == "popoviciu":  # p() divides out gcd(a) for an auto-routed pair
-        return lambda n: p(inst.a, n, inst.D, max_box=max_box)
+    if method == "popoviciu":  # divides out gcd(a) for an auto-routed pair
+        return _popoviciu(inst)
     if method == "quasipoly":
         qp = quasipoly(inst.a, inst.D, max_box=max_box)
         return lambda n: p_quasipoly(qp, n)
@@ -507,6 +508,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"arithmetic error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     timing_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+    process_ms = round((time.perf_counter() - _STARTED) * 1000.0, 3)
 
     instance_json = None if instance is None else _instance_json(instance)
     if args.plain:
@@ -518,6 +520,7 @@ def main(argv: list[str] | None = None) -> int:
             "instance": instance_json,
             "result": result,
             "timing_ms": timing_ms,
+            "process_ms": process_ms,
         }
         print(json.dumps(envelope, indent=2))
     return code

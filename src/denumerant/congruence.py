@@ -16,7 +16,6 @@ the length of H (only :func:`list_fibers`, which walks the box, bounds tuples).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import sub
 from types import MappingProxyType
@@ -53,13 +52,51 @@ class BoxTooLargeError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Value:
+    """Immutable value: a subclass names its fields in `_fields` and its
+    ``__init__`` sets each with ``object.__setattr__``.  Equal when class and
+    fields are, hashed by its fields, printed as ``Name(field=value, ...)``.
+    Plain classes keep ``inspect`` out of every process start."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {self.__class__.__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {self.__class__.__name__}")
+
+
+def _check_n(n: int) -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    return n
+
+
+class Instance(_Value):
     """A weight tuple a = (a_1,...,a_r) with a chosen common multiple D."""
 
-    a: tuple[int, ...]
-    D: int
-    g: int  # gcd of the a_i
+    _fields = ("a", "D", "g")  # g is the gcd of the a_i
+
+    def __init__(self, a: tuple[int, ...], D: int, g: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "g", g)
 
     @property
     def r(self) -> int:
@@ -79,8 +116,7 @@ class Instance:
         return sum(self.D - ai for ai in self.a) // self.g + 1
 
 
-@dataclass(frozen=True)
-class Fiber:
+class Fiber(_Value):
     """The box tuples whose weighted sum is congruent to `residue` mod D,
     grouped by sum: `counts[i]` tuples have weighted sum `sums[i]`.
 
@@ -88,9 +124,12 @@ class Fiber:
     < r*D, so a fiber holds at most r pairs; `len()` is the tuple count.
     """
 
-    residue: int
-    sums: tuple[int, ...]
-    counts: tuple[int, ...]
+    _fields = ("residue", "sums", "counts")
+
+    def __init__(self, residue: int, sums: tuple[int, ...], counts: tuple[int, ...]):
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
         return sum(self.counts)
@@ -104,19 +143,18 @@ class Fiber:
         return self.sums[0] if self.sums else None
 
 
-@dataclass(frozen=True)
-class FiberIndex:
+class FiberIndex(_Value):
     """Every fiber of the box, keyed by residue; immutable once built.
 
     `fibers` maps residue -> Fiber for nonempty fibers only (exactly the
     residues divisible by gcd(a)).  Use :meth:`fiber` to query any residue.
     """
 
-    instance: Instance
-    fibers: Mapping[int, Fiber]
+    _fields = ("instance", "fibers")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fibers", MappingProxyType(dict(self.fibers)))
+    def __init__(self, instance: Instance, fibers: Mapping[int, Fiber]):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "fibers", MappingProxyType(dict(fibers)))
 
     def fiber(self, n: int) -> Fiber:
         v = _check_n(n) % self.instance.D
@@ -154,12 +192,6 @@ def make_instance(a: Sequence[int], d_choice: DChoice = "lcm") -> Instance:
     else:
         raise ValueError(f"d_choice must be 'lcm', 'product', or an int, got {d_choice!r}")
     return Instance(a=a, D=d, g=gcd(*a))
-
-
-def _check_n(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    return n
 
 
 def _guard(size: int, max_box: int, what: str = "box-sum histogram length") -> None:

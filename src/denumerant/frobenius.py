@@ -11,11 +11,10 @@ the Frobenius number; a value of -1 means every n >= 0 is representable
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .congruence import DEFAULT_MAX_BOX, DChoice, build_fiber_index, make_instance
+from .congruence import DEFAULT_MAX_BOX, DChoice, _Value, build_fiber_index, make_instance
 from .partition import p_oracle_upto
 
 __all__ = [
@@ -26,13 +25,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FrobeniusResult:
+class FrobeniusResult(_Value):
     """value is the Frobenius number (-1 when everything is representable);
     witness_residue, when known, is the class mod D achieving it."""
 
-    value: int
-    witness_residue: int | None = None
+    _fields = ("value", "witness_residue")
+
+    def __init__(self, value: int, witness_residue: int | None = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness_residue", witness_residue)
 
 
 def frobenius_pair(a1: int, a2: int) -> FrobeniusResult:

@@ -23,7 +23,6 @@ query (:func:`denumerant.congruence.fiber`) or split once into an index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence
@@ -37,6 +36,7 @@ from .congruence import (
     Instance,
     _check_n,
     _guard,
+    _Value,
     build_fiber_index,
     fiber,
     make_instance,
@@ -59,14 +59,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(_Value):
     """Periodic-coefficient representation of p_a: coeffs[m][v] multiplies n^m
     for n congruent to v mod D.  Every column is stored, including the
     identically-zero ones at residues not divisible by gcd(a)."""
 
-    instance: Instance
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    _fields = ("instance", "coeffs")
+
+    def __init__(self, instance: Instance, coeffs: tuple[tuple[Fraction, ...], ...]):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coefficient(self, m: int, v: int) -> Fraction:
         return self.coeffs[m][v % self.instance.D]
@@ -238,6 +240,14 @@ def p_popoviciu(a1: int, a2: int, n: int) -> int:
     return _exact_div(n + a1 * a1p + a2 * a2p, a1 * a2, f"p_popoviciu{(a1, a2, n)}") - 1
 
 
+def _popoviciu(inst: Instance):
+    """n -> p_a(n) for a pair: p_(a/g)(n/g) by :func:`p_popoviciu` when
+    g = gcd(a) divides n, else 0."""
+    g = inst.g
+    a1, a2 = inst.a[0] // g, inst.a[1] // g
+    return lambda n: 0 if n % g else p_popoviciu(a1, a2, n // g)
+
+
 def is_zero(
     a: Sequence[int],
     n: int,
@@ -295,8 +305,7 @@ def p(
     inst = make_instance(a, d_choice)
     route = route_for(inst, n, max_box)
     if route == "popoviciu":
-        g = inst.g
-        return 0 if n % g else p_popoviciu(inst.a[0] // g, inst.a[1] // g, n // g)
+        return _popoviciu(inst)(n)
     if route == "product":
         return p_product(a, n, d_choice, max_box=max_box)
     return p_oracle(a, n, max_box=max_box)

@@ -12,7 +12,6 @@ sum, with the Stirling kernel that also builds the quasi-polynomial table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Sequence
@@ -21,6 +20,7 @@ from .congruence import (
     DEFAULT_MAX_BOX,
     DChoice,
     FiberIndex,
+    _Value,
     box_sum_histogram,
     make_instance,
 )
@@ -41,11 +41,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(_Value):
     """Dense exact-rational polynomial; coeffs[k] multiplies n^k."""
 
-    coeffs: tuple[Fraction, ...]
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -63,11 +65,13 @@ class RationalPolynomial:
         return format_polynomial(self)
 
 
-@dataclass(frozen=True)
-class ResidueVector:
+class ResidueVector(_Value):
     """Residues of the Dirichlet series at s = 1..r; values[m-1] is R_m."""
 
-    values: tuple[Fraction, ...]
+    _fields = ("values",)
+
+    def __init__(self, values: tuple[Fraction, ...]):
+        object.__setattr__(self, "values", values)
 
     @property
     def r(self) -> int:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .congruence import build_fiber_index, make_instance
+from .congruence import _Value, build_fiber_index, make_instance
 from .frobenius import frobenius_general, frobenius_pair, representability_scan
 from .partition import (
     is_zero,
@@ -89,21 +88,29 @@ def sample_instances(
     return out
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    check: str
-    a: tuple[int, ...]
-    n: int | None
-    routes: str
-    detail: str
+class CheckFailure(_Value):
+    _fields = ("check", "a", "n", "routes", "detail")
+
+    def __init__(self, check: str, a: tuple[int, ...], n: int | None, routes: str, detail: str):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "routes", routes)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass
-class SelfCheckReport:
-    seed: int
-    checks: list[tuple[str, int]] = field(default_factory=list)
-    ms: list[float] = field(default_factory=list)  # wall time of each entry of checks
-    failure: CheckFailure | None = None
+class SelfCheckReport(_Value):
+    _fields = ("seed", "checks", "ms", "failure")
+    __setattr__ = object.__setattr__  # a report fills in as the checks run
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, seed: int, checks: list[tuple[str, int]] | None = None,
+                 ms: list[float] | None = None, failure: CheckFailure | None = None):
+        self.seed = seed
+        self.checks = [] if checks is None else checks
+        self.ms = [] if ms is None else ms  # wall time of each entry of checks
+        self.failure = failure
 
     @property
     def ok(self) -> bool:

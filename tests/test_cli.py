@@ -311,6 +311,26 @@ class TestParser:
         assert set(results["residues"]["method"]["enum"]) == set(cli._RESIDUE_ROUTES)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "-a", "3,5", "-n", "0..5"),
+        ("quasipoly", "-a", "2,3"),
+        ("polypart", "-a", "2,3,4", "--check"),
+        ("residues", "-a", "1,2", "--check"),
+        ("frobenius", "-a", "3,5,7"),
+        ("fibers", "-a", "2,3"),
+        ("selfcheck", "--instances", "3", "--max-n", "20"),
+        ("bench", "-a", "3,5", "-n", "50", "--points", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_envelope_has_process_ms(capsys, argv):
+    # process_ms runs from the package's first statement, so it spans timing_ms
+    _, env = run_json(capsys, *argv)
+    assert env["process_ms"] >= env["timing_ms"] >= 0
+
+
 def test_module_entry_point():
     # run as users and shell scripts do: a separate `python -m denumerant.cli`
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -1,6 +1,10 @@
-"""Every exported name resolves, module by module and through `import *`."""
+"""Every exported name resolves, module by module and through `import *`;
+importing the CLI stays light."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,3 +23,22 @@ def test_star_import():
     namespace = {}
     exec("from denumerant import *", namespace)
     assert set(denumerant.__all__) <= set(namespace)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each CLI call is a fresh process, so every module the package imports is
+    # paid on every call; `dataclasses` brings `inspect`, `ast`, `dis` and
+    # `tokenize`.  -S keeps modules that `site` preloads out of the comparison.
+    code = (
+        "import sys; before = set(sys.modules); import denumerant.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(denumerant.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    new = set(proc.stdout.split())
+    assert "denumerant.cli" in new
+    assert new & {"dataclasses", "inspect"} == set()
