@@ -62,15 +62,32 @@ __all__ = [
 class QuasiPolynomial(_Value):
     """Periodic-coefficient representation of p_a: coeffs[m][v] multiplies n^m
     for n congruent to v mod D.  Every column is stored, including the
-    identically-zero ones at residues not divisible by gcd(a)."""
+    identically-zero ones at residues not divisible by gcd(a).
+
+    ``__init__`` also derives the integer form that :func:`p_quasipoly`
+    reads: a common denominator den, the lcm of every coefficient's
+    denominator, and for each residue v the integer numerators
+    coeffs[m][v] * den, highest degree first.  It is not a field, so
+    equality, hash and repr see only `instance` and `coeffs`, and a pickle
+    or copy carries the fields alone and derives it again."""
 
     _fields = ("instance", "coeffs")
 
     def __init__(self, instance: Instance, coeffs: tuple[tuple[Fraction, ...], ...]):
         object.__setattr__(self, "instance", instance)
         object.__setattr__(self, "coeffs", coeffs)
+        den = lcm(*(c.denominator for row in coeffs for c in row))
+        nums = (tuple(c.numerator * (den // c.denominator) for c in row) for row in reversed(coeffs))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_columns", tuple(zip(*nums)))
+
+    def __reduce__(self):
+        return self.__class__, (self.instance, self.coeffs)
 
     def coefficient(self, m: int, v: int) -> Fraction:
+        r = len(self.coeffs)
+        if not 0 <= m < r:
+            raise ValueError(f"m must be in 0..{r - 1}, got {m}")
         return self.coeffs[m][v % self.instance.D]
 
 
@@ -137,24 +154,30 @@ def p_product(
     return _exact_div(total, factorial(r - 1), f"p_product{tuple(a), n}")
 
 
-def _stirling_row(r: int, d: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+def _stirling_kernel(r: int, d: int) -> list[list[int]]:
+    """kernel[m] holds the coefficients of the degree-m Stirling polynomial in
+    a weighted sum s, highest power first: sum_{k=m}^{r-1} bracket[k]
+    (-1)^{k-m} C(k,m) D^{r-1-k} s^{k-m}.  Build it once per table and pass
+    it to :func:`_stirling_row` for every fiber."""
+    bracket = rising_factorial_coeffs(r)
+    return [
+        [(-1) ** j * bracket[m + j] * comb(m + j, m) * d ** (r - 1 - m - j) for j in range(r - m - 1, -1, -1)]
+        for m in range(r)
+    ]
+
+
+def _stirling_row(kernel: list[list[int]], pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Integer accumulators c[m] = sum over (sum s, count) pairs of count *
-    sum_{k=m}^{r-1} bracket[k] (-1)^{k-m} C(k,m) D^{r-1-k} s^{k-m}.
+    kernel[m](s), for a kernel from :func:`_stirling_kernel`.
 
     Over one fiber, c[m] / (D^{r-1} (r-1)!) is the degree-m quasi-polynomial
     coefficient of that fiber's residue class; over the whole box,
     c[m] / (D^r (r-1)!) is the degree-m coefficient of the polynomial part."""
-    bracket = rising_factorial_coeffs(r)
-    # kernel[m][j] multiplies s^j in the degree-m accumulator
-    kernel = [
-        [(-1) ** j * bracket[m + j] * comb(m + j, m) * d ** (r - 1 - m - j) for j in range(r - m)]
-        for m in range(r)
-    ]
-    row = [0] * r
+    row = [0] * len(kernel)
     for s, count in pairs:
         for m, coeffs in enumerate(kernel):
             acc = 0
-            for c in reversed(coeffs):
+            for c in coeffs:
                 acc = acc * s + c
             row[m] += count * acc
     return row
@@ -175,7 +198,7 @@ def p_stirling(
     fiber, then evaluates sum_m c_m n^m / ((r-1)! D^{r-1})."""
     inst, fib = _resolve_fiber(a, n, d_choice, index, max_box)
     r, d = inst.r, inst.D
-    row = _stirling_row(r, d, zip(fib.sums, fib.counts))
+    row = _stirling_row(_stirling_kernel(r, d), zip(fib.sums, fib.counts))
     total = 0
     npow = 1
     for m in range(r):
@@ -198,9 +221,10 @@ def quasipoly(
     inst = _check_index(index, a)
     r, d = inst.r, inst.D
     scale = d ** (r - 1) * factorial(r - 1)
+    kernel = _stirling_kernel(r, d)
     table = [[0] * d for _ in range(r)]
     for v, fib in index.fibers.items():
-        row = _stirling_row(r, d, zip(fib.sums, fib.counts))
+        row = _stirling_row(kernel, zip(fib.sums, fib.counts))
         for m in range(r):
             table[m][v] = row[m]
     coeffs = tuple(
@@ -210,19 +234,20 @@ def quasipoly(
 
 
 def p_quasipoly(qp: QuasiPolynomial, n: int) -> int:
-    """Evaluate a quasi-polynomial table at n; the rational sum must clear its
-    denominator (anything else means the table is corrupt)."""
+    """Evaluate a quasi-polynomial table at n from its integer form: Horner's
+    rule over the numerators of column n mod D, O(r) integer multiply-adds,
+    then one exact division by the common denominator.  A remainder means
+    the table is corrupt and raises ArithmeticError with the rational value."""
     _check_n(n)
-    d = qp.instance.D
-    v = n % d
-    total = Fraction(0)
-    npow = 1
-    for m in range(qp.instance.r):
-        total += qp.coeffs[m][v] * npow
-        npow *= n
-    if total.denominator != 1:
-        raise ArithmeticError(f"quasi-polynomial evaluation at {n} is not integral: {total}")
-    return int(total)
+    total = 0
+    for c in qp._columns[n % qp.instance.D]:
+        total = total * n + c
+    value, rem = divmod(total, qp._den)
+    if rem:
+        raise ArithmeticError(
+            f"quasi-polynomial evaluation at {n} is not integral: {Fraction(total, qp._den)}"
+        )
+    return value
 
 
 def p_popoviciu(a1: int, a2: int, n: int) -> int:

@@ -27,7 +27,7 @@ from .congruence import (
 from .numbers import (
     _alpha_upto, _bernoulli_barnes_upto, _truncated_product, bernoulli, rising_factorial_coeffs,
 )
-from .partition import _check_index, _stirling_row
+from .partition import _check_index, _stirling_kernel, _stirling_row
 
 __all__ = [
     "RationalPolynomial",
@@ -114,7 +114,7 @@ def polypart_box_average(
         g = inst.g
         pairs = ((g * k, c) for k, c in enumerate(box_sum_histogram(inst, max_box)) if c)
     r, d = inst.r, inst.D
-    acc = _stirling_row(r, d, pairs)
+    acc = _stirling_row(_stirling_kernel(r, d), pairs)
     scale = d**r * factorial(r - 1)
     coeffs = tuple(Fraction(c, scale) for c in acc)
     _leading_check(coeffs, inst.a, "polypart_box_average")

@@ -1,5 +1,8 @@
 """Counting routes for p_a(n) against each other and the brute-force count."""
 
+import copy
+import pickle
+import random
 from fractions import Fraction
 from math import factorial, gcd, prod
 
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 
 from denumerant import (
     BoxTooLargeError,
+    Instance,
+    QuasiPolynomial,
     build_fiber_index,
     is_zero,
     make_instance,
@@ -131,6 +136,71 @@ class TestQuasiPolynomial:
             top = 3 * qp.instance.D
             for n in range(top + 1):
                 p_quasipoly(qp, n)  # raises ArithmeticError on any non-integer
+
+    def test_coefficient_checks_degree(self):
+        qp = quasipoly((2, 3))
+        assert qp.coefficient(1, 7) == qp.coeffs[1][1]
+        for m in (-1, 2):
+            with pytest.raises(ValueError, match=rf"m must be in 0\.\.1, got {m}"):
+                qp.coefficient(m, 0)
+
+    def test_evaluation_equals_rational_sum(self):
+        rng = random.Random(2016)
+        tables = [quasipoly((4, 6)), quasipoly((6, 10, 15))]  # zero columns where g does not divide v
+        for a, d, g in [((2, 3, 5), 30, 1), ((4, 6, 8, 9), 72, 1), ((6, 10, 14), 210, 2), ((7,), 7, 7)]:
+            inst = Instance(a=a, D=d, g=g)
+            cols = [_integer_valued_column(v, d, len(a), rng) if v % g == 0 else [Fraction(0)] * len(a)
+                    for v in range(d)]
+            tables.append(QuasiPolynomial(instance=inst, coeffs=tuple(zip(*cols))))
+        # (n^3 - n)/3 on even n, (n^2 - 1)/8 on odd n: the common denominator 24 is no coefficient's
+        third, eighth = Fraction(1, 3), Fraction(1, 8)
+        cols = [(0, -third, 0, third), (-eighth, 0, eighth, 0)]
+        tables.append(QuasiPolynomial(instance=Instance(a=(1, 1, 2, 2), D=2, g=1), coeffs=tuple(zip(*cols))))
+        for qp in tables:
+            d = qp.instance.D
+            ns = [0, 1, d - 1, d, 10**40, 10**40 + 1] + [rng.randrange(10 ** rng.randrange(1, 41)) for _ in range(40)]
+            for twin in (qp, pickle.loads(pickle.dumps(qp)), copy.deepcopy(qp)):
+                for n in ns:
+                    want = sum(twin.coeffs[m][n % d] * n**m for m in range(len(twin.coeffs)))
+                    assert want.denominator == 1
+                    assert p_quasipoly(twin, n) == want, (qp.instance, n)
+
+    def test_non_integral_value_raises(self):
+        inst = Instance(a=(2, 3), D=6, g=1)
+        half = Fraction(1, 2)
+        qp = QuasiPolynomial(instance=inst, coeffs=((half,) * 6, (half,) * 6))  # (n + 1)/2
+        with pytest.raises(ArithmeticError, match=r"at 6 is not integral: 7/2"):
+            p_quasipoly(qp, 6)
+        assert p_quasipoly(qp, 7) == 4
+
+    def test_evaluation_does_no_fraction_arithmetic(self, monkeypatch):
+        a = (3, 4, 9, 10)
+        qp = quasipoly(a)
+        oracle = p_oracle_upto(a, 400)
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic during evaluation")
+
+        monkeypatch.setattr(Fraction, "__add__", refuse)
+        monkeypatch.setattr(Fraction, "__mul__", refuse)
+        for n in (0, 1, 179, 180, 397, 400):
+            assert p_quasipoly(qp, n) == oracle[n]
+
+
+def _integer_valued_column(v, d, r, rng):
+    """Ascending coefficients in n of sum_k b_k C((n - v)/d, k) for k < r and
+    random integers b_k: integral at every n congruent to v mod d, with
+    denominators dividing d^k k!."""
+    col = [Fraction(0)] * r
+    binom = [Fraction(1)]  # C(x, k) in powers of n, where x = (n - v)/d
+    for k in range(r):
+        b = rng.randrange(-50, 51)
+        for j, c in enumerate(binom):
+            col[j] += b * c
+        # C(x, k+1) = (x - k) C(x, k) / (k+1), and x - k = n/d - (v/d + k)
+        shifted = [Fraction(0)] + [c / d for c in binom]
+        binom = [(s - c * (Fraction(v, d) + k)) / (k + 1) for s, c in zip(shifted, binom + [Fraction(0)])]
+    return col
 
 
 class TestRouteAgreement:
