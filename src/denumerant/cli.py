@@ -6,6 +6,10 @@ timing.  All integers in the JSON are decimal strings so no consumer ever
 truncates at 64 bits; rationals carry a [numerator, denominator] pair plus a
 decimal convenience string.  `--plain` switches to human-readable tables.
 
+`eval` and `bench` compute p_a(n) through `partition._evaluator`, the one
+evaluator `p()` also uses; this module keeps only their usage rules (which
+methods an instance admits, bench's default method list) and rendering.
+
 Exit codes: 0 success, 2 usage error, 3 size guard tripped, 4 cross-route or
 self-check mismatch or a failed integrality check (ArithmeticError).
 """
@@ -20,24 +24,9 @@ import time
 from fractions import Fraction
 
 from . import _STARTED
-from .congruence import (
-    DEFAULT_MAX_BOX,
-    BoxTooLargeError,
-    Instance,
-    build_fiber_index,
-    list_fibers,
-    make_instance,
-)
+from .congruence import DEFAULT_MAX_BOX, BoxTooLargeError, Instance, list_fibers, make_instance
 from .frobenius import frobenius_general, frobenius_pair
-from .partition import (
-    _popoviciu,
-    p_oracle_upto,
-    p_product,
-    p_quasipoly,
-    p_stirling,
-    quasipoly,
-    route_for,
-)
+from .partition import _evaluator, quasipoly, route_for
 from .polypart import (
     format_polynomial,
     polypart_bernoulli,
@@ -147,10 +136,7 @@ def _parse_d_choice(text: str):
 
 
 def _make_instance(args) -> Instance:
-    try:
-        return make_instance(_parse_weights(args.a), _parse_d_choice(args.d))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return make_instance(_parse_weights(args.a), _parse_d_choice(args.d))
 
 
 def _max_box(args) -> int:
@@ -166,7 +152,7 @@ def _max_box(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# routes: the eval evaluator and the polynomial-part and residue tables
+# routes: eval's usage rule and the polynomial-part and residue tables
 
 def _check_method(method: str, inst: Instance) -> None:
     if method == "popoviciu" and not (inst.r == 2 and inst.g == 1):
@@ -174,24 +160,6 @@ def _check_method(method: str, inst: Instance) -> None:
             "popoviciu needs exactly two coprime weights; "
             f"got a={inst.a} with gcd {inst.g}"
         )
-
-
-def _evaluator(method: str, inst: Instance, n_max: int, several: bool, max_box: int):
-    """n -> p_a(n) by an eval method, after its one-time set-up: the oracle's
-    DP table up to n_max, the quasi-polynomial table, or the fiber index when
-    several n share it (a single n reads one fiber)."""
-    if method == "oracle":
-        return p_oracle_upto(inst.a, n_max, max_box=max_box).__getitem__
-    if method == "popoviciu":  # divides out gcd(a) for an auto-routed pair
-        return _popoviciu(inst)
-    if method == "quasipoly":
-        qp = quasipoly(inst.a, inst.D, max_box=max_box)
-        return lambda n: p_quasipoly(qp, n)
-    fn = p_product if method == "product" else p_stirling
-    if several:
-        index = build_fiber_index(inst, max_box)
-        return lambda n: fn(inst.a, n, index=index)
-    return lambda n: fn(inst.a, n, inst.D, max_box=max_box)
 
 
 # Each route takes (instance, args); only "box" reads the size guard.
@@ -218,7 +186,7 @@ def _cmd_eval(args):
     max_box = _max_box(args)
     _check_method(args.method, inst)
     resolved = route_for(inst, ns[-1], max_box) if args.method == "auto" else args.method
-    value_at = _evaluator(resolved, inst, ns[-1], len(ns) > 1, max_box)
+    value_at = _evaluator(resolved, inst, ns[-1], max_box, len(ns) > 1)
     result = {
         "method": args.method,
         "resolved_method": resolved,
@@ -335,7 +303,7 @@ def _cmd_bench(args):
     per_method_values = {}
     for method in wanted:
         t0 = time.perf_counter()
-        value_at = _evaluator(method, inst, n_max, len(points) > 1, max_box)
+        value_at = _evaluator(method, inst, n_max, max_box, len(points) > 1)
         t1 = time.perf_counter()
         per_method_values[method] = [value_at(n) for n in points]
         setup_ms = (t1 - t0) * 1000.0

@@ -2,11 +2,12 @@
 
 The general computation works per residue class mod D: within the class of
 v, the integers n with p_a(n) > 0 are exactly those >= the smallest weighted
-sum occurring in the fiber of v (the first nonzero entry of the box-sum
-histogram in that class), so the largest non-representable member of the
-class is (minimum fiber sum) - D.  Taking the maximum over classes gives
-the Frobenius number; a value of -1 means every n >= 0 is representable
-(the tuple contains 1).
+sum occurring in the fiber of v, so the largest non-representable member of
+the class is (minimum fiber sum) - D.  That minimum is read straight off the
+box-sum histogram H: as g = 1, column v of H (entries v, v + D, v + 2D, ...)
+holds the fiber of v, and its first nonzero entry is the minimum, so no
+fiber is built.  Taking the maximum over classes gives the Frobenius number;
+a value of -1 means every n >= 0 is representable (the tuple contains 1).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .congruence import DEFAULT_MAX_BOX, DChoice, _Value, build_fiber_index, make_instance
+from .congruence import DEFAULT_MAX_BOX, DChoice, _Value, box_sum_histogram, make_instance
 from .partition import p_oracle_upto
 
 __all__ = [
@@ -51,21 +52,22 @@ def frobenius_general(
     d_choice: DChoice = "lcm",
     max_box: int = DEFAULT_MAX_BOX,
 ) -> FrobeniusResult:
-    """Frobenius number from fiber minima: max over residue classes of
-    (minimum fiber sum) - D, with the arg-max class as witness."""
+    """Frobenius number from fiber minima: max over residue classes v of
+    (minimum fiber sum) - D, the minimum being the first nonzero entry of
+    column v of the box-sum histogram, with the arg-max class as witness."""
     inst = make_instance(a, d_choice)
     if inst.g != 1:
         raise ValueError(f"Frobenius number undefined for gcd {inst.g} > 1: {inst.a}")
-    index = build_fiber_index(inst, max_box)
-    best = None
-    best_v = None
-    for v, fib in index.fibers.items():  # every residue 0..D-1, ascending, as g = 1
-        ms = fib.min_sum
+    h = box_sum_histogram(inst, max_box)
+    d = inst.D
+    best = best_v = None
+    for v in range(d):
+        ms = next((s for s in range(v, len(h), d) if h[s]), None)
         if ms is None:
             raise AssertionError(f"gcd-1 instance {inst.a} has an empty fiber at {v}")
         if best is None or ms > best:
             best, best_v = ms, v
-    return FrobeniusResult(value=best - inst.D, witness_residue=best_v)
+    return FrobeniusResult(value=best - d, witness_residue=best_v)
 
 
 def representability_scan(a: Sequence[int], n_max: int) -> list[int]:

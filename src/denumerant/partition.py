@@ -18,7 +18,9 @@ A fiber enters every fiber route as at most r (weighted sum, tuple count)
 pairs, so a term is computed once per distinct sum and scaled by its count.
 Every fiber is a residue column of the box-sum histogram H, read by a point
 query (:func:`denumerant.congruence.fiber`) or split once into an index.
-:func:`route_for` is the only router.
+:func:`route_for` is the only router, and the private ``_evaluator`` the
+only step from a route name to a value: :func:`p` and the CLI's ``eval``
+and ``bench`` all evaluate through it.
 """
 
 from __future__ import annotations
@@ -265,14 +267,6 @@ def p_popoviciu(a1: int, a2: int, n: int) -> int:
     return _exact_div(n + a1 * a1p + a2 * a2p, a1 * a2, f"p_popoviciu{(a1, a2, n)}") - 1
 
 
-def _popoviciu(inst: Instance):
-    """n -> p_a(n) for a pair: p_(a/g)(n/g) by :func:`p_popoviciu` when
-    g = gcd(a) divides n, else 0."""
-    g = inst.g
-    a1, a2 = inst.a[0] // g, inst.a[1] // g
-    return lambda n: 0 if n % g else p_popoviciu(a1, a2, n // g)
-
-
 def is_zero(
     a: Sequence[int],
     n: int,
@@ -325,12 +319,30 @@ def p(
     *,
     max_box: int = DEFAULT_MAX_BOX,
 ) -> int:
-    """p_a(n) by the route :func:`route_for` picks."""
+    """p_a(n) by the route :func:`route_for` picks, through :func:`_evaluator`."""
     _check_n(n)
     inst = make_instance(a, d_choice)
-    route = route_for(inst, n, max_box)
+    return _evaluator(route_for(inst, n, max_box), inst, n, max_box)(n)
+
+
+def _evaluator(route: str, inst: Instance, n_max: int, max_box: int, several: bool = False):
+    """n -> p_a(n) by a route name (an eval method other than "auto"), after
+    the route's one-time set-up: the oracle's DP table up to n_max; for
+    "popoviciu", p_(a/g)(n/g) when g = gcd(a) divides n, else 0; the
+    quasi-polynomial table; or, for "product" and "stirling", the fiber
+    index when `several` n share it (a single n reads one fiber).
+    :func:`p`, ``eval`` and ``bench`` all evaluate through it."""
+    if route == "oracle":
+        return p_oracle_upto(inst.a, n_max, max_box=max_box).__getitem__
     if route == "popoviciu":
-        return _popoviciu(inst)(n)
-    if route == "product":
-        return p_product(a, n, d_choice, max_box=max_box)
-    return p_oracle(a, n, max_box=max_box)
+        g = inst.g
+        a1, a2 = inst.a[0] // g, inst.a[1] // g
+        return lambda n: 0 if n % g else p_popoviciu(a1, a2, n // g)
+    if route == "quasipoly":
+        qp = quasipoly(inst.a, inst.D, max_box=max_box)
+        return lambda n: p_quasipoly(qp, n)
+    fn = p_product if route == "product" else p_stirling
+    if several:
+        index = build_fiber_index(inst, max_box)
+        return lambda n: fn(inst.a, n, index=index)
+    return lambda n: fn(inst.a, n, inst.D, max_box=max_box)

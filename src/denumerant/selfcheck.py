@@ -146,7 +146,14 @@ def run_selfcheck(
     instances: int = 40,
     box_budget: int = 20_000,
 ) -> SelfCheckReport:
-    """Run every cross-route suite on seeded instances; stop at first mismatch."""
+    """Run every cross-route suite on seeded instances; stop at first mismatch.
+
+    instances, max_r, max_entry and box_budget must each be at least 1, so
+    that no suite passes by checking nothing (ValueError otherwise)."""
+    for name, value in (("instances", instances), ("max_r", max_r),
+                        ("max_entry", max_entry), ("box_budget", box_budget)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     report = SelfCheckReport(seed=seed)
 
     def fail(check, a, n, routes, detail):

@@ -240,6 +240,12 @@ class TestSelfcheck:
         with pytest.raises(jsonschema.ValidationError):
             VALIDATOR.validate(env1)
 
+    @pytest.mark.parametrize("flag", ["--instances", "--max-r", "--max-entry", "--box-budget"])
+    def test_vacuous_run_is_usage_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "selfcheck", flag, "0")
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {flag[2:].replace('-', '_')} must be at least 1, got 0\n"
+
 
 class TestBench:
     def test_values_agree(self, capsys):

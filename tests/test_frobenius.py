@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from denumerant import congruence, frobenius
 from denumerant import (
     frobenius_general,
     frobenius_pair,
@@ -48,6 +49,28 @@ class TestGeneral:
     def test_rejects_gcd_above_one(self):
         with pytest.raises(ValueError):
             frobenius_general((4, 6))
+
+    def test_reads_minima_without_building_fibers(self, monkeypatch):
+        # the minima are first nonzero entries of the histogram's columns
+        def boom(*args, **kwargs):
+            raise AssertionError("frobenius_general built a fiber")
+
+        monkeypatch.setattr(congruence, "build_fiber_index", boom)
+        monkeypatch.setattr(congruence.Fiber, "__init__", boom)
+        monkeypatch.setattr(congruence.FiberIndex, "__init__", boom)
+        got = frobenius_general((3, 4, 5))
+        assert (got.value, got.witness_residue) == (2, 2)
+
+    def test_empty_column_is_an_internal_error(self, monkeypatch):
+        real = frobenius.box_sum_histogram
+
+        def without_ones(inst, max_box):
+            h = real(inst, max_box)
+            return [c if s % inst.D != 1 else 0 for s, c in enumerate(h)]
+
+        monkeypatch.setattr(frobenius, "box_sum_histogram", without_ones)
+        with pytest.raises(AssertionError, match="empty fiber at 1"):
+            frobenius_general((3, 4, 5))
 
     def test_witness_class_holds_the_max(self):
         for a in [(3, 5), (3, 4, 5), (4, 9, 11)]:

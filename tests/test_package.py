@@ -42,3 +42,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     new = set(proc.stdout.split())
     assert "denumerant.cli" in new
     assert new & {"dataclasses", "inspect"} == set()
+
+
+def test_cli_evaluates_through_partition():
+    # one dispatch from a route name to a value: the CLI binds no route of its own
+    from denumerant import cli, partition
+
+    routes = {"p_product", "p_stirling", "p_quasipoly", "p_oracle_upto", "build_fiber_index"}
+    assert routes & set(vars(cli)) == set()
+    assert cli._evaluator is partition._evaluator

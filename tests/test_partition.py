@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from denumerant import cli, congruence, partition
 from denumerant import (
+    DEFAULT_MAX_BOX,
     BoxTooLargeError,
     Instance,
     QuasiPolynomial,
@@ -415,3 +417,29 @@ class TestRouter:
 
     def test_divisibility_shortcut(self):
         assert [p((4,), n) for n in range(9)] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+
+# the curated instances of acceptance criterion 6, and pairs (one with gcd 2)
+EVALUATED = [(3, 4, 9, 10), (2, 3, 4, 5), (6, 10, 15), (8, 9, 12), (2, 2, 2, 2), (3, 5), (4, 6), (1, 7)]
+
+
+@pytest.mark.parametrize("several", [False, True])
+@pytest.mark.parametrize(
+    "route,a",
+    [
+        pytest.param(route, a, id=f"{route}-{','.join(map(str, a))}")
+        for route in cli._EVAL_METHODS[1:]
+        for a in EVALUATED
+        if route != "popoviciu" or len(a) == 2
+    ],
+)
+def test_evaluator_matches_oracle(route, a, several, monkeypatch):
+    # every route name p(), eval and bench can resolve to, with and without
+    # the shared set-up for several n; after that set-up no n builds a histogram
+    inst = make_instance(a)
+    n_max = 2 * inst.D + 7
+    want = p_oracle_upto(a, n_max)
+    value_at = partition._evaluator(route, inst, n_max, DEFAULT_MAX_BOX, several)
+    if several:
+        monkeypatch.setattr(congruence, "box_sum_histogram", None)
+    assert [value_at(n) for n in range(n_max + 1)] == want

@@ -57,6 +57,13 @@ class TestReport:
             "frobenius",
         ]
 
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("param", ["instances", "max_r", "max_entry", "box_budget"])
+    def test_rejects_vacuous_parameters(self, param, value):
+        # no suite may pass by checking nothing
+        with pytest.raises(ValueError, match=f"^{param} must be at least 1, got {value}$"):
+            run_selfcheck(**{param: value})
+
     def test_all_ones_edge(self):
         report = run_selfcheck(instances=5, max_n=30, max_entry=1, seed=0)
         assert report.ok
