@@ -9,8 +9,9 @@ and how many tuples share each, so the core structure is the box-sum
 histogram H(z) = prod_i (1 - z^D)/(1 - z^{a_i}): its coefficient at z^s
 counts the box tuples of weighted sum s, and every sum is below r*D, so a
 fiber is at most r (sum, count) pairs, one residue column of H.  This
-module builds H, splits it into fibers, and owns the size guard, which bounds
-the length of H (only :func:`list_fibers`, which walks the box, bounds tuples).
+module builds H, reads each fiber as a column of it on demand (H is the
+fiber index), and owns the size guard, which bounds the length of H (only
+:func:`list_fibers`, which walks the box, bounds tuples).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from math import gcd, lcm, prod
 from operator import sub
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
+
+from .numbers import _validate_weights
 
 DEFAULT_MAX_BOX = 10**7  # entries of H (about 40 B each), or tuples listed
 
@@ -138,35 +141,37 @@ class Fiber(_Value):
     def is_empty(self) -> bool:
         return not self.sums
 
-    @property
-    def min_sum(self) -> int | None:
-        return self.sums[0] if self.sums else None
-
 
 class FiberIndex(_Value):
-    """Every fiber of the box, keyed by residue; immutable once built.
+    """The fiber index of an instance: its box-sum histogram H, as a tuple.
 
-    `fibers` maps residue -> Fiber for nonempty fibers only (exactly the
-    residues divisible by gcd(a)).  Use :meth:`fiber` to query any residue.
+    Every fiber is one residue column of H, read on demand: :meth:`fiber`
+    reads any residue, `fibers` maps each residue divisible by gcd(a)
+    (exactly the nonempty fibers) to its fiber, built on access.
     """
 
-    _fields = ("instance", "fibers")
+    _fields = ("instance", "histogram")
 
-    def __init__(self, instance: Instance, fibers: Mapping[int, Fiber]):
+    def __init__(self, instance: Instance, histogram: Sequence[int]):
         object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "fibers", MappingProxyType(dict(fibers)))
+        object.__setattr__(self, "histogram", tuple(histogram))
 
     def fiber(self, n: int) -> Fiber:
         v = _check_n(n) % self.instance.D
-        got = self.fibers.get(v)
-        return got if got is not None else Fiber(v, (), ())
+        if v % self.instance.g:
+            return Fiber(v, (), ())
+        return _column(self.instance, self.histogram, v // self.instance.g)
+
+    @property
+    def fibers(self) -> Mapping[int, Fiber]:
+        return MappingProxyType({v: self.fiber(v) for v in self.residues()})
 
     def residues(self) -> tuple[int, ...]:
-        return tuple(self.fibers)
+        return tuple(range(0, self.instance.D, self.instance.g))
 
     @property
     def total_tuples(self) -> int:
-        return sum(len(f) for f in self.fibers.values())
+        return sum(self.histogram)
 
 
 def make_instance(a: Sequence[int], d_choice: DChoice = "lcm") -> Instance:
@@ -175,12 +180,7 @@ def make_instance(a: Sequence[int], d_choice: DChoice = "lcm") -> Instance:
     d_choice is "lcm" (default, smallest valid box), "product", or an
     explicit integer that every a_i must divide.
     """
-    a = tuple(a)
-    if not a:
-        raise ValueError("weight tuple must be nonempty")
-    for x in a:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ValueError(f"weights must be positive integers, got {a!r}")
+    a = _validate_weights(a)
     if d_choice == "lcm":
         d = lcm(*a)
     elif d_choice == "product":
@@ -224,7 +224,7 @@ def box_sum_histogram(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> list[in
     return h
 
 
-def _column(inst: Instance, h: list[int], v: int) -> Fiber:
+def _column(inst: Instance, h: Sequence[int], v: int) -> Fiber:
     """The fiber of residue g*v: column v of the histogram h of `inst`."""
     g = inst.g
     period = inst.D // g
@@ -237,10 +237,9 @@ def _column(inst: Instance, h: list[int], v: int) -> Fiber:
 
 
 def build_fiber_index(inst: Instance, max_box: int = DEFAULT_MAX_BOX) -> FiberIndex:
-    """Split the box-sum histogram into one fiber per residue class mod D."""
-    h = box_sum_histogram(inst, max_box)
-    fibers = {inst.g * v: _column(inst, h, v) for v in range(inst.D // inst.g)}
-    return FiberIndex(instance=inst, fibers=fibers)
+    """The fiber index: the box-sum histogram, whose residue columns are the
+    fibers; no fiber is built until one is read.  The guard bounds len(H)."""
+    return FiberIndex(inst, box_sum_histogram(inst, max_box))
 
 
 def fiber(inst: Instance, n: int, max_box: int = DEFAULT_MAX_BOX) -> Fiber:

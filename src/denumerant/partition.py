@@ -17,7 +17,8 @@ computes it by several independent routes that must agree exactly:
 A fiber enters every fiber route as at most r (weighted sum, tuple count)
 pairs, so a term is computed once per distinct sum and scaled by its count.
 Every fiber is a residue column of the box-sum histogram H, read by a point
-query (:func:`denumerant.congruence.fiber`) or split once into an index.
+query (:func:`denumerant.congruence.fiber`) or from a fiber index, which is
+H itself.
 :func:`route_for` is the only router, and the private ``_evaluator`` the
 only step from a route name to a value: :func:`p` and the CLI's ``eval``
 and ``bench`` all evaluate through it.

@@ -13,7 +13,7 @@ sum, with the Stirling kernel that also builds the quasi-polynomial table.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import Sequence
 
 from .congruence import (
@@ -21,12 +21,10 @@ from .congruence import (
     DChoice,
     FiberIndex,
     _Value,
-    box_sum_histogram,
+    build_fiber_index,
     make_instance,
 )
-from .numbers import (
-    _alpha_upto, _bernoulli_barnes_upto, _truncated_product, bernoulli, rising_factorial_coeffs,
-)
+from .numbers import _alpha_upto, _bernoulli_barnes_upto, _truncated_product, bernoulli
 from .partition import _check_index, _stirling_kernel, _stirling_row
 
 __all__ = [
@@ -106,15 +104,11 @@ def polypart_box_average(
     :func:`quasipoly`, whose column means this average equals), so the
     result is exact; no interpolation happens.
     """
-    if index is not None:
-        inst = _check_index(index, a)
-        pairs = (pair for f in index.fibers.values() for pair in zip(f.sums, f.counts))
-    else:
-        inst = make_instance(a, d_choice)
-        g = inst.g
-        pairs = ((g * k, c) for k, c in enumerate(box_sum_histogram(inst, max_box)) if c)
-    r, d = inst.r, inst.D
-    acc = _stirling_row(_stirling_kernel(r, d), pairs)
+    if index is None:
+        index = build_fiber_index(make_instance(a, d_choice), max_box)
+    inst = _check_index(index, a)
+    r, d, g = inst.r, inst.D, inst.g
+    acc = _stirling_row(_stirling_kernel(r, d), ((g * k, c) for k, c in enumerate(index.histogram) if c))
     scale = d**r * factorial(r - 1)
     coeffs = tuple(Fraction(c, scale) for c in acc)
     _leading_check(coeffs, inst.a, "polypart_box_average")
@@ -145,20 +139,18 @@ def polypart_bernoulli(a: Sequence[int]) -> RationalPolynomial:
 def residues_powersum(a: Sequence[int], d_choice: DChoice = "lcm") -> ResidueVector:
     """R_m (m = 1..r) via the Stirling kernel applied to the box power sums
     alpha_0..alpha_{r-1}, the coefficients of one product of the r per-axis
-    series (e^{Dz} - 1)/(e^{a_i z} - 1) (see :func:`alpha`); the alpha values
-    depend on the chosen D, the residues do not."""
+    series (e^{Dz} - 1)/(e^{a_i z} - 1) (see :func:`alpha`): the box average
+    of :func:`polypart_box_average` with each s^j summed over the box
+    replaced by alpha_j.  The alpha values depend on the chosen D, the
+    residues do not."""
     inst = make_instance(a, d_choice)
     r, d = inst.r, inst.D
-    bracket = rising_factorial_coeffs(r)
-    alphas = _alpha_upto(r, inst.a, d)
-    values = []
-    for m in range(1, r + 1):
-        acc = Fraction(0)
-        for k in range(m - 1, r):
-            term = bracket[k] * comb(k, m - 1) * Fraction(1, d**k) * alphas[k - m + 1]
-            acc = acc - term if (k - m + 1) & 1 else acc + term
-        values.append(acc / (d * factorial(r - 1)))
-    return ResidueVector(values=tuple(values))
+    alphas = [x.numerator for x in _alpha_upto(r, inst.a, d)]
+    scale = d**r * factorial(r - 1)
+    return ResidueVector(values=tuple(
+        Fraction(sum(c * x for c, x in zip(reversed(coeffs), alphas)), scale)
+        for coeffs in _stirling_kernel(r, d)
+    ))
 
 
 def residues_bernoulli_barnes(a: Sequence[int]) -> ResidueVector:

@@ -149,11 +149,12 @@ def run_selfcheck(
     """Run every cross-route suite on seeded instances; stop at first mismatch.
 
     instances, max_r, max_entry and box_budget must each be at least 1, so
-    that no suite passes by checking nothing (ValueError otherwise)."""
-    for name, value in (("instances", instances), ("max_r", max_r),
-                        ("max_entry", max_entry), ("box_budget", box_budget)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    that no suite passes by checking nothing, and max_n at least 0
+    (ValueError otherwise)."""
+    for name, value, low in (("instances", instances, 1), ("max_r", max_r, 1), ("max_n", max_n, 0),
+                             ("max_entry", max_entry, 1), ("box_budget", box_budget, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     report = SelfCheckReport(seed=seed)
 
     def fail(check, a, n, routes, detail):
@@ -257,19 +258,22 @@ def run_selfcheck(
         cases += 1
     passed("polypart-agreement", cases)
 
-    # Residues: the mean of the degree-(m-1) quasi-polynomial column equals R_m.
+    # Residues: the mean of the degree-(m-1) quasi-polynomial column equals
+    # R_m.  The table and the power sums share the Stirling kernel, so the
+    # mean is also held against Bernoulli-Barnes, which uses no kernel.
     cases = 0
     for a in pool:
         qp = quasipoly(a)
         d = qp.instance.D
-        res = residues_powersum(a)
+        powersum, barnes = residues_powersum(a), residues_bernoulli_barnes(a)
         for m in range(1, len(a) + 1):
             mean = sum(qp.coeffs[m - 1], Fraction(0)) / d
-            if mean != res.residue_at(m):
-                return fail(
-                    "residue-mean", a, None, f"column mean vs R_{m}",
-                    f"mean={mean}, R_{m}={res.residue_at(m)}",
-                )
+            for name, res in (("powersum", powersum), ("barnes", barnes)):
+                if mean != res.residue_at(m):
+                    return fail(
+                        "residue-mean", a, None, f"column mean vs {name} R_{m}",
+                        f"mean={mean}, R_{m}={res.residue_at(m)}",
+                    )
             cases += 1
     passed("residue-mean", cases)
 

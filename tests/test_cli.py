@@ -246,6 +246,11 @@ class TestSelfcheck:
         assert (code, out) == (2, "")
         assert err == f"usage error: {flag[2:].replace('-', '_')} must be at least 1, got 0\n"
 
+    def test_negative_max_n_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "selfcheck", "--max-n", "-1")
+        assert (code, out) == (2, "")
+        assert err == "usage error: max_n must be at least 0, got -1\n"
+
 
 class TestBench:
     def test_values_agree(self, capsys):

@@ -115,6 +115,33 @@ class TestBuildFiberIndex:
 
     @settings(max_examples=40, deadline=None)
     @given(weights)
+    def test_index_reads_agree_with_point_query(self, a):
+        inst = make_instance(a)
+        index = build_fiber_index(inst)
+        fibers = index.fibers
+        assert tuple(fibers) == index.residues()
+        for v in range(inst.D):
+            got = index.fiber(v)
+            assert got == fiber(inst, v)
+            if v % inst.g == 0:
+                assert fibers[v] == got
+            else:
+                assert v not in fibers and got.is_empty
+
+    def test_build_makes_no_fiber(self, monkeypatch):
+        # the index is the histogram; a fiber is built only when one is read
+        def boom(*args, **kwargs):
+            raise AssertionError("build_fiber_index built a fiber")
+
+        inst = make_instance((4, 6, 9))
+        with monkeypatch.context() as patch:
+            patch.setattr(Fiber, "__init__", boom)
+            index = build_fiber_index(inst)
+        assert index.histogram == tuple(box_sum_histogram(inst))
+        assert index.total_tuples == inst.box_size
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights)
     def test_partition_law(self, a):
         inst = make_instance(a)
         seen = sorted(t for ts in list_fibers(inst).values() for t in ts)

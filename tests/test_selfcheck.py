@@ -64,6 +64,15 @@ class TestReport:
         with pytest.raises(ValueError, match=f"^{param} must be at least 1, got {value}$"):
             run_selfcheck(**{param: value})
 
+    @pytest.mark.parametrize("value", [-1, -7])
+    def test_rejects_negative_max_n(self, value):
+        with pytest.raises(ValueError, match=f"^max_n must be at least 0, got {value}$"):
+            run_selfcheck(max_n=value)
+
+    def test_max_n_zero_checks_n_zero(self):
+        report = run_selfcheck(instances=3, max_n=0, seed=5)
+        assert report.ok and dict(report.checks)["route-agreement"] == 3 * 3
+
     def test_all_ones_edge(self):
         report = run_selfcheck(instances=5, max_n=30, max_entry=1, seed=0)
         assert report.ok
