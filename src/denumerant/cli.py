@@ -140,15 +140,18 @@ def _make_instance(args) -> Instance:
 
 
 def _max_box(args) -> int:
-    if getattr(args, "max_box", None) is not None:
-        return args.max_box
-    env = os.environ.get("DENUMERANT_MAX_BOX")
-    if env is not None:
+    name, guard = "--max-box", getattr(args, "max_box", None)
+    if guard is None:
+        name, env = "DENUMERANT_MAX_BOX", os.environ.get("DENUMERANT_MAX_BOX")
+        if env is None:
+            return DEFAULT_MAX_BOX
         try:
-            return int(env)
+            guard = int(env)
         except ValueError:
             raise UsageError(f"DENUMERANT_MAX_BOX must be an integer, got {env!r}")
-    return DEFAULT_MAX_BOX
+    if guard < 1:
+        raise UsageError(f"{name} must be at least 1, got {guard}")
+    return guard
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +483,17 @@ def main(argv: list[str] | None = None) -> int:
 
     instance_json = None if instance is None else _instance_json(instance)
     if args.plain:
-        for line in _plain_lines(args.command, instance_json, result):
-            print(line)
+        text = "\n".join(_plain_lines(args.command, instance_json, result))
     else:
-        envelope = {
-            "command": args.command,
-            "instance": instance_json,
-            "result": result,
-            "timing_ms": timing_ms,
-            "process_ms": process_ms,
-        }
-        print(json.dumps(envelope, indent=2))
+        envelope = {"command": args.command, "instance": instance_json, "result": result,
+                    "timing_ms": timing_ms, "process_ms": process_ms}
+        text = json.dumps(envelope, indent=2)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point it at devnull so that
+        # the flush at interpreter shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -17,10 +17,10 @@ fiber index), and owns the size guard, which bounds the length of H (only
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from math import gcd, lcm, prod
 from operator import sub
-from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .numbers import _validate_weights
 
@@ -146,8 +146,8 @@ class FiberIndex(_Value):
     """The fiber index of an instance: its box-sum histogram H, as a tuple.
 
     Every fiber is one residue column of H, read on demand: :meth:`fiber`
-    reads any residue, `fibers` maps each residue divisible by gcd(a)
-    (exactly the nonempty fibers) to its fiber, built on access.
+    reads any residue, `fibers` is a read-only view that maps each residue
+    divisible by gcd(a) (exactly the nonempty fibers) to its fiber.
     """
 
     _fields = ("instance", "histogram")
@@ -164,7 +164,7 @@ class FiberIndex(_Value):
 
     @property
     def fibers(self) -> Mapping[int, Fiber]:
-        return MappingProxyType({v: self.fiber(v) for v in self.residues()})
+        return _FiberView(self)
 
     def residues(self) -> tuple[int, ...]:
         return tuple(range(0, self.instance.D, self.instance.g))
@@ -172,6 +172,24 @@ class FiberIndex(_Value):
     @property
     def total_tuples(self) -> int:
         return sum(self.histogram)
+
+
+class _FiberView(Mapping):
+    """`FiberIndex.fibers`: residues 0, g, 2g, ... < D, each fiber read from H on lookup."""
+
+    def __init__(self, index: FiberIndex):
+        self._index, self._keys = index, range(0, index.instance.D, index.instance.g)
+
+    def __getitem__(self, v: int) -> Fiber:
+        if type(v) is not int or v not in self._keys:
+            raise KeyError(v)
+        return self._index.fiber(v)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self):
+        return iter(self._keys)
 
 
 def make_instance(a: Sequence[int], d_choice: DChoice = "lcm") -> Instance:

@@ -1,16 +1,17 @@
 """Exact special-number sequences used by the counting formulas.
 
-Everything here is computed in exact rational arithmetic (``fractions.Fraction``);
-no floating point appears anywhere in this package's math.  Bernoulli-Barnes
+No floating point appears anywhere in this package's math.  Bernoulli-Barnes
 numbers and box power sums are read off products of r power series truncated
-at the degree asked for: O(r j^2) rational operations for degree j.
+at the degree asked for, O(r j^2) exact operations for degree j: integer
+exponential generating functions (`_egf_product`) for the Bernoulli series,
+``fractions.Fraction`` series (`_truncated_product`) for the power sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -86,6 +87,22 @@ def _truncated_product(factors: Iterable[Sequence[Fraction]], n: int) -> list[Fr
     return out
 
 
+@lru_cache(maxsize=None)
+def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n-1 of Pascal's triangle."""
+    return tuple(tuple(comb(k, i) for i in range(k + 1)) for k in range(n))
+
+
+def _egf_product(factors: Iterable[Sequence[int]], n: int) -> list[int]:
+    """Coefficients 0..n-1 of a product of exponential generating functions,
+    each given by its first n integer coefficients: out_k = sum_i C(k,i) out_i f_{k-i}."""
+    rows = _binomial_rows(n)
+    out = [1] + [0] * (n - 1)
+    for f in factors:
+        out = [sum(c * x * y for c, x, y in zip(rows[k], out, f[k::-1])) for k in range(n)]
+    return out
+
+
 def _validate_weights(a: Sequence[int]) -> tuple[int, ...]:
     a = tuple(a)
     if not a:
@@ -96,18 +113,23 @@ def _validate_weights(a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _bernoulli_barnes_upto(n: int, a: Sequence[int]) -> list[Fraction]:
-    """[B_0(a), ..., B_{n-1}(a)]: B_j(a) is j!/(a_1...a_r) times the z^j
-    coefficient of the reciprocal of prod_i (e^{a_i z} - 1)/(a_i z), whose
-    factors are the series sum_k a_i^k z^k/(k+1)!.  No Bernoulli numbers."""
+def _bernoulli_barnes_upto(n: int, a: Sequence[int]) -> tuple[list[int], int]:
+    """B_0(a)..B_{n-1}(a) as numerators v_0..v_{n-1} over one denominator.
+
+    Scaled by l = lcm(1..n), the EGF coefficients a_i^k/(k+1) of
+    (e^{a_i z} - 1)/(a_i z) are integers; p is their product, s = p_0 = l^r.
+    v_k is s times the z^k EGF coefficient of 1/p, an integer by von
+    Staudt-Clausen, so B_j(a) = v_j / (s prod a).  No Bernoulli numbers."""
     a = _validate_weights(a)
-    factors = ([Fraction(ai**k, factorial(k + 1)) for k in range(n)] for ai in a)
-    p = _truncated_product(factors, n)
-    q = [Fraction(1)]  # 1/p, using p[0] = 1
-    for k in range(1, n):
-        q.append(-sum(p[i] * q[k - i] for i in range(1, k + 1)))
-    pa = prod(a)
-    return [factorial(k) * c / pa for k, c in enumerate(q)]
+    ell = lcm(*range(1, n + 1))
+    p = _egf_product(([ai**k * ell // (k + 1) for k in range(n)] for ai in a), n)
+    rows, s, v = _binomial_rows(n), p[0], [p[0]]
+    for k in range(1, n):  # v_k = -(sum_{i=1..k} C(k,i) p_i v_{k-i}) / s
+        num, rem = divmod(-sum(c * x * y for c, x, y in zip(rows[k][1:], p[1:], v[::-1])), s)
+        if rem:
+            raise ArithmeticError(f"Bernoulli-Barnes numerator {k} of {a} is not integral")
+        v.append(num)
+    return v, s * prod(a)
 
 
 def bernoulli_barnes(j: int, a: Sequence[int]) -> Fraction:
@@ -117,11 +139,12 @@ def bernoulli_barnes(j: int, a: Sequence[int]) -> Fraction:
 
     Equal to the multinomial sum over compositions i_1+...+i_r = j of
     C(j; i_1,...,i_r) * B_{i_1}...B_{i_r} * a_1^{i_1-1}...a_r^{i_r-1};
-    B_0(a) = 1/(a_1...a_r).  Cost O(r j^2) rational operations.
+    B_0(a) = 1/(a_1...a_r).  Cost O(r j^2) integer operations.
     """
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
-    return _bernoulli_barnes_upto(j + 1, a)[j]
+    v, w = _bernoulli_barnes_upto(j + 1, a)
+    return Fraction(v[j], w)
 
 
 def _alpha_factor(i: int, ai: int, d: int) -> Fraction:

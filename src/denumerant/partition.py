@@ -226,7 +226,8 @@ def quasipoly(
     scale = d ** (r - 1) * factorial(r - 1)
     kernel = _stirling_kernel(r, d)
     table = [[0] * d for _ in range(r)]
-    for v, fib in index.fibers.items():
+    for v in index.residues():
+        fib = index.fiber(v)
         row = _stirling_row(kernel, zip(fib.sums, fib.counts))
         for m in range(r):
             table[m][v] = row[m]

@@ -13,7 +13,7 @@ sum, with the Stirling kernel that also builds the quasi-polynomial table.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Sequence
 
 from .congruence import (
@@ -24,7 +24,7 @@ from .congruence import (
     build_fiber_index,
     make_instance,
 )
-from .numbers import _alpha_upto, _bernoulli_barnes_upto, _truncated_product, bernoulli
+from .numbers import _alpha_upto, _bernoulli_barnes_upto, _egf_product, bernoulli
 from .partition import _check_index, _stirling_kernel, _stirling_row
 
 __all__ = [
@@ -118,18 +118,20 @@ def polypart_box_average(
 def polypart_bernoulli(a: Sequence[int]) -> RationalPolynomial:
     """P_a(n) from Bernoulli numbers alone; no box.
 
-    The n^{r-1-u} coefficient is ((-1)^u/((r-1-u)! prod a)) times the z^u
-    coefficient of prod_i sum_k B_k (a_i z)^k / k!, the product of the r
-    Bernoulli-number series truncated at degree r - 1: O(r^3) rational
-    operations.
+    With M the lcm of the denominators of B_0..B_{r-1} and h the product of
+    the r integer EGFs sum_k M B_k a_i^k z^k/k! truncated at degree r - 1
+    (O(r^3) integer operations), the n^{r-1-u} coefficient is
+    (-1)^u h_u / (u! (r-1-u)! M^r prod a).
     """
     inst = make_instance(a)
     r = inst.r
-    bs = [bernoulli(k) / factorial(k) for k in range(r)]
-    series = _truncated_product(([b * ai**k for k, b in enumerate(bs)] for ai in inst.a), r)
-    pa = prod(inst.a)
+    bs = [bernoulli(k) for k in range(r)]
+    m = lcm(*(b.denominator for b in bs))
+    bs = [b.numerator * (m // b.denominator) for b in bs]
+    h = _egf_product(([b * ai**k for k, b in enumerate(bs)] for ai in inst.a), r)
+    den = m**r * prod(inst.a)
     coeffs = tuple(
-        (-series[u] if u & 1 else series[u]) / (factorial(r - 1 - u) * pa)
+        Fraction(-h[u] if u & 1 else h[u], factorial(u) * factorial(r - 1 - u) * den)
         for u in range(r - 1, -1, -1)
     )
     _leading_check(coeffs, inst.a, "polypart_bernoulli")
@@ -163,9 +165,9 @@ def residues_bernoulli_barnes(a: Sequence[int]) -> ResidueVector:
     read straight off p(n) = (n^2+3n+2)/2)."""
     inst = make_instance(a)
     r = inst.r
-    barnes = _bernoulli_barnes_upto(r, inst.a)
-    return ResidueVector(values=tuple(
-        (-1) ** (r - m) * barnes[r - m] / (factorial(m - 1) * factorial(r - m)) for m in range(1, r + 1)
+    barnes, w = _bernoulli_barnes_upto(r, inst.a)
+    return ResidueVector(values=tuple(  # R_m for m = r - j
+        Fraction((-1) ** j * barnes[j], w * factorial(r - 1 - j) * factorial(j)) for j in range(r - 1, -1, -1)
     ))
 
 

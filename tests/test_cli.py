@@ -145,6 +145,27 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "-a", "2,3", "-n", "4", "--method", "product")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "-a", "3,5,7", "-n", "10", "--max-box", "-5"),
+            ("eval", "-a", "3,5", "-n", "8", "--max-box", "-5"),
+            ("quasipoly", "-a", "3,5", "--max-box", "0"),
+        ],
+    )
+    def test_guard_below_one_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --max-box must be at least 1, got {argv[-1]}\n"
+
+    def test_env_guard_below_one_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DENUMERANT_MAX_BOX", "-3")
+        code, out, err = run_cli(capsys, "quasipoly", "-a", "3,5")
+        assert (code, out) == (2, "")
+        assert err == "usage error: DENUMERANT_MAX_BOX must be at least 1, got -3\n"
+        # only a command that reads the guard checks it
+        assert run_cli(capsys, "polypart", "-a", "3,5")[0] == 0
+
     def test_plain_output(self, capsys):
         code, out, _ = run_cli(capsys, "--plain", "eval", "-a", "3,5", "-n", "8")
         assert code == 0
@@ -354,6 +375,25 @@ def test_module_entry_point():
     envelope = json.loads(proc.stdout)
     VALIDATOR.validate(envelope)
     assert envelope["result"]["values"] == [{"n": "8", "p": "1"}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # each output is larger than a pipe's buffer, so the writer meets the closed pipe
+    [("quasipoly", "-a", "2,3,5,7"), ("--plain", "quasipoly", "-a", "2,3,5,7,11")],
+)
+def test_closed_stdout_is_not_an_error(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "denumerant.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+    )
+    assert proc.stdout.read(1) in (b"{", b"a")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 # ---------------------------------------------------------------------------

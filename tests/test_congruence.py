@@ -13,6 +13,7 @@ from denumerant import (
     Fiber,
     box_sum_histogram,
     build_fiber_index,
+    congruence,
     fiber,
     frobenius_general,
     list_fibers,
@@ -139,6 +140,25 @@ class TestBuildFiberIndex:
             index = build_fiber_index(inst)
         assert index.histogram == tuple(box_sum_histogram(inst))
         assert index.total_tuples == inst.box_size
+
+    def test_fibers_view_reads_columns_on_lookup(self, monkeypatch):
+        index = build_fiber_index(make_instance((4, 6, 9)))  # D = 36, g = 1
+        want = {v: index.fiber(v) for v in index.residues()}
+        reads = []
+        column = congruence._column
+        monkeypatch.setattr(congruence, "_column", lambda *args: reads.append(args) or column(*args))
+        assert len(index.fibers) == 36 and reads == []
+        assert index.fibers[7] == want[7] and len(reads) == 1
+        assert dict(index.fibers) == want
+
+    def test_fibers_view_keys_are_the_residues(self):
+        index = build_fiber_index(make_instance((4, 6, 10)))  # D = 60, g = 2
+        fibers = index.fibers
+        assert list(fibers) == list(range(0, 60, 2)) and len(fibers) == 30
+        for v in (1, 60, -2, "0"):
+            assert v not in fibers
+            with pytest.raises(KeyError):
+                fibers[v]
 
     @settings(max_examples=40, deadline=None)
     @given(weights)

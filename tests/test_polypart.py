@@ -9,7 +9,9 @@ import pytest
 from denumerant import (
     format_polynomial,
     make_instance,
+    numbers,
     p_oracle_upto,
+    polypart,
     polypart_bernoulli,
     polypart_box_average,
     polypart_from_residues,
@@ -18,6 +20,7 @@ from denumerant import (
     residues_powersum,
     sample_instances,
 )
+from denumerant.numbers import alpha, bernoulli_barnes
 from denumerant.polypart import RationalPolynomial
 
 F = Fraction
@@ -150,6 +153,49 @@ class TestHighR:
         powersum = residues_powersum(a, "lcm").values
         assert powersum == coeffs
         assert residues_powersum(a, 2 * make_instance(a).D).values == powersum
+
+
+class TestIntegerSeries:
+    """The Bernoulli and Bernoulli-Barnes routes multiply integer EGFs with
+    `_egf_product`; only the power-sum route keeps `_truncated_product`."""
+
+    TUPLES = [(3, 4, 9, 10), tuple(range(2, 14))]
+
+    @pytest.mark.parametrize("a", TUPLES)
+    def test_no_fraction_arithmetic(self, a, monkeypatch):
+        # the unpatched run also fills the cached table of Bernoulli numbers
+        want = (polypart_bernoulli(a), residues_bernoulli_barnes(a), bernoulli_barnes(len(a), a))
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic in a Bernoulli series")
+
+        for name in ("add", "sub", "mul", "truediv"):
+            monkeypatch.setattr(Fraction, f"__{name}__", refuse)
+            monkeypatch.setattr(Fraction, f"__r{name}__", refuse)
+        got = (polypart_bernoulli(a), residues_bernoulli_barnes(a), bernoulli_barnes(len(a), a))
+        assert got == want
+
+    @pytest.mark.parametrize("a", TUPLES)
+    def test_product_ledger(self, a, monkeypatch):
+        d = make_instance(a).D
+        bernoulli_routes = (polypart_bernoulli(a), residues_bernoulli_barnes(a), bernoulli_barnes(3, a))
+        powersum_routes = (residues_powersum(a), alpha(3, a, d))
+
+        def refuse(*args):
+            raise AssertionError("product used by the wrong route")
+
+        with monkeypatch.context() as patch:
+            for mod in (numbers, polypart):
+                patch.setattr(mod, "_truncated_product", refuse, raising=False)
+            assert (polypart_bernoulli(a), residues_bernoulli_barnes(a), bernoulli_barnes(3, a)) == bernoulli_routes
+        with monkeypatch.context() as patch:
+            for mod in (numbers, polypart):
+                patch.setattr(mod, "_egf_product", refuse, raising=False)
+            assert (residues_powersum(a), alpha(3, a, d)) == powersum_routes
+
+    @pytest.mark.parametrize("a", [tuple(range(2, 32)), tuple(range(2, 42))])
+    def test_routes_agree_at_large_r(self, a):
+        assert polypart_bernoulli(a).coeffs == residues_bernoulli_barnes(a).values
 
 
 class TestPolynomialBehavior:
