@@ -41,6 +41,7 @@ from .partition import (
     QuasiPolynomial,
     is_zero,
     p,
+    p_floorsum,
     p_oracle,
     p_oracle_upto,
     p_popoviciu,
@@ -90,6 +91,7 @@ __all__ = [
     "list_fibers",
     "make_instance",
     "p",
+    "p_floorsum",
     "p_oracle",
     "p_oracle_upto",
     "p_popoviciu",

@@ -44,7 +44,7 @@ EXIT_MISMATCH = 4
 
 MAX_N_VALUES = 10**6  # most values one -n lo..hi range may hold
 
-_EVAL_METHODS = ("auto", "product", "stirling", "quasipoly", "popoviciu", "oracle")
+_EVAL_METHODS = ("auto", "product", "stirling", "quasipoly", "popoviciu", "floorsum", "oracle")
 
 
 class UsageError(Exception):
@@ -163,6 +163,8 @@ def _check_method(method: str, inst: Instance) -> None:
             "popoviciu needs exactly two coprime weights; "
             f"got a={inst.a} with gcd {inst.g}"
         )
+    if method == "floorsum" and inst.r != 3:
+        raise UsageError(f"floorsum needs exactly three weights; got a={inst.a}")
 
 
 # Each route takes (instance, args); only "box" reads the size guard.
@@ -297,6 +299,8 @@ def _cmd_bench(args):
         wanted = ["product", "stirling", "quasipoly", "oracle"]
         if inst.r == 2 and inst.g == 1:
             wanted.append("popoviciu")
+        if inst.r == 3:
+            wanted.append("floorsum")
     for m in wanted:
         if m not in _EVAL_METHODS[1:]:
             raise UsageError(f"--methods entries must be one of {_EVAL_METHODS[1:]}, got {m!r}")

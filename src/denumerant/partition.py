@@ -13,6 +13,9 @@ computes it by several independent routes that must agree exactly:
 * :func:`quasipoly`      -- the full degree-by-residue coefficient table,
                             evaluated by :func:`p_quasipoly`.
 * :func:`p_popoviciu`    -- the O(log) two-weight closed form.
+* :func:`p_floorsum`     -- the O(log) three-weight route: Popoviciu's count
+                            summed over the third weight's multiplier as two
+                            floor sums; no table.
 
 A fiber enters every fiber route as at most r (weighted sum, tuple count)
 pairs, so a term is computed once per distinct sum and scaled by its count.
@@ -21,12 +24,15 @@ query (:func:`denumerant.congruence.fiber`) or from a fiber index, which is
 H itself.
 :func:`route_for` is the only router, and the private ``_evaluator`` the
 only step from a route name to a value: :func:`p` and the CLI's ``eval``
-and ``bench`` all evaluate through it.
+and ``bench`` all evaluate through it.  Up to three weights the router
+picks a route that builds no table (a one-tuple fiber, Popoviciu, floor
+sums), so only r >= 4 weighs H against the oracle under the size guard.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -55,6 +61,7 @@ __all__ = [
     "quasipoly",
     "p_quasipoly",
     "p_popoviciu",
+    "p_floorsum",
     "is_zero",
     "p_unrestricted",
     "route_for",
@@ -157,19 +164,21 @@ def p_product(
     return _exact_div(total, factorial(r - 1), f"p_product{tuple(a), n}")
 
 
-def _stirling_kernel(r: int, d: int) -> list[list[int]]:
+@lru_cache(maxsize=16)
+def _stirling_kernel(r: int, d: int) -> tuple[tuple[int, ...], ...]:
     """kernel[m] holds the coefficients of the degree-m Stirling polynomial in
     a weighted sum s, highest power first: sum_{k=m}^{r-1} bracket[k]
-    (-1)^{k-m} C(k,m) D^{r-1-k} s^{k-m}.  Build it once per table and pass
-    it to :func:`_stirling_row` for every fiber."""
+    (-1)^{k-m} C(k,m) D^{r-1-k} s^{k-m}.  Pass it to :func:`_stirling_row`
+    for every fiber.  Cached, as tuples, so that repeated point queries on
+    one (r, D) do not rebuild it."""
     bracket = rising_factorial_coeffs(r)
-    return [
-        [(-1) ** j * bracket[m + j] * comb(m + j, m) * d ** (r - 1 - m - j) for j in range(r - m - 1, -1, -1)]
+    return tuple(
+        tuple((-1) ** j * bracket[m + j] * comb(m + j, m) * d ** (r - 1 - m - j) for j in range(r - m - 1, -1, -1))
         for m in range(r)
-    ]
+    )
 
 
-def _stirling_row(kernel: list[list[int]], pairs: Iterable[tuple[int, int]]) -> list[int]:
+def _stirling_row(kernel: tuple[tuple[int, ...], ...], pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Integer accumulators c[m] = sum over (sum s, count) pairs of count *
     kernel[m](s), for a kernel from :func:`_stirling_kernel`.
 
@@ -269,6 +278,54 @@ def p_popoviciu(a1: int, a2: int, n: int) -> int:
     return _exact_div(n + a1 * a1p + a2 * a2p, a1 * a2, f"p_popoviciu{(a1, a2, n)}") - 1
 
 
+def _floor_sum(A: int, B: int, M: int, Z: int) -> int:
+    """sum_{z=0}^{Z-1} floor((A z + B) / M) for M > 0, Z >= 0 and A, B of
+    any sign, in O(log M) steps (Graham-Knuth-Patashnik, Concrete
+    Mathematics, section 3.5): take the whole parts of A/M and B/M out of
+    the sum, then count the same lattice points with the axes swapped."""
+    total = 0
+    while True:
+        q, A = divmod(A, M)
+        total += q * (Z * (Z - 1) // 2)
+        q, B = divmod(B, M)
+        total += q * Z
+        top = A * Z + B
+        if top < M:
+            return total
+        Z, B = divmod(top, M)
+        A, M = M, A
+
+
+def p_floorsum(a: Sequence[int], n: int) -> int:
+    """p_a(n) for three weights in O(log) steps; no table and no D.
+
+    After dividing out g = gcd(a) (p_a(n) = 0 unless g | n), h = gcd(a1, a2)
+    is coprime to c = a3, so the multiplier z of c runs over one class
+    z0 = n c^{-1} mod h (z0 = 0 when h = 1), and p_a(n) = p_(a1/h, a2/h, c)((n - c z0)/h), or 0
+    if n < c z0.  With a1, a2 now coprime, beta = a2^{-1} mod a1 and
+    t = (a2 beta - 1)/a1, Popoviciu's count is p_(a1,a2)(m) =
+    floor(m beta/a1) + floor(-m t/a2) + 1, and summing it over
+    m = n - c z for z < Z = floor(n/c) + 1 gives Z plus two floor sums."""
+    _check_n(n)
+    inst = make_instance(a)
+    if inst.r != 3:
+        raise ValueError(f"p_floorsum needs exactly three weights, got {inst.a}")
+    g = inst.g
+    if n % g:
+        return 0
+    a1, a2, c = (x // g for x in inst.a)
+    n //= g
+    h = gcd(a1, a2)
+    n -= c * (n * pow(c, -1, h) % h)
+    if n < 0:
+        return 0
+    a1, a2, n = a1 // h, a2 // h, n // h
+    beta = pow(a2, -1, a1)
+    t = (a2 * beta - 1) // a1
+    z = n // c + 1
+    return z + _floor_sum(-c * beta, n * beta, a1, z) + _floor_sum(c * t, -n * t, a2, z)
+
+
 def is_zero(
     a: Sequence[int],
     n: int,
@@ -301,11 +358,12 @@ def p_unrestricted(n: int, max_box: int = DEFAULT_MAX_BOX) -> int:
 def route_for(inst: Instance, n: int, max_box: int = DEFAULT_MAX_BOX) -> str:
     """The eval method for p_a(n): "product" for r = 1 (its one-tuple fiber
     builds nothing); "popoviciu" on a/g for a pair, as p_a(n) = p_(a/g)(n/g)
-    if g = gcd(a) divides n, else 0; otherwise the shorter table that fits
-    max_box, "product" on the box-sum histogram or "oracle" on n + 1 DP cells,
-    and BoxTooLargeError if neither fits."""
-    if inst.r <= 2:
-        return "product" if inst.r == 1 else "popoviciu"
+    if g = gcd(a) divides n, else 0; "floorsum" for a triple.  None of these
+    three builds a table, so none reads max_box.  For r >= 4, the shorter
+    table that fits max_box, "product" on the box-sum histogram or "oracle"
+    on n + 1 DP cells, and BoxTooLargeError if neither fits."""
+    if inst.r <= 3:
+        return ("product", "popoviciu", "floorsum")[inst.r - 1]
     size = inst.histogram_length
     if size <= min(n + 1, max_box):
         return "product"
@@ -330,9 +388,10 @@ def p(
 def _evaluator(route: str, inst: Instance, n_max: int, max_box: int, several: bool = False):
     """n -> p_a(n) by a route name (an eval method other than "auto"), after
     the route's one-time set-up: the oracle's DP table up to n_max; for
-    "popoviciu", p_(a/g)(n/g) when g = gcd(a) divides n, else 0; the
-    quasi-polynomial table; or, for "product" and "stirling", the fiber
-    index when `several` n share it (a single n reads one fiber).
+    "popoviciu", p_(a/g)(n/g) when g = gcd(a) divides n, else 0; none for
+    "floorsum"; the quasi-polynomial table; or, for "product" and
+    "stirling", the fiber index when `several` n share it (a single n reads
+    one fiber).
     :func:`p`, ``eval`` and ``bench`` all evaluate through it."""
     if route == "oracle":
         return p_oracle_upto(inst.a, n_max, max_box=max_box).__getitem__
@@ -340,6 +399,8 @@ def _evaluator(route: str, inst: Instance, n_max: int, max_box: int, several: bo
         g = inst.g
         a1, a2 = inst.a[0] // g, inst.a[1] // g
         return lambda n: 0 if n % g else p_popoviciu(a1, a2, n // g)
+    if route == "floorsum":
+        return lambda n: p_floorsum(inst.a, n)
     if route == "quasipoly":
         qp = quasipoly(inst.a, inst.D, max_box=max_box)
         return lambda n: p_quasipoly(qp, n)

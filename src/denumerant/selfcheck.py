@@ -3,7 +3,8 @@
 Draws seeded instances (rejecting any whose enumeration box would blow the
 budget, so runs stay fast and deterministic) and checks that every
 independent computation route agrees exactly: counting routes against the DP
-oracle, polynomial parts and residues against each other, fiber cardinality
+oracle, the triple route also against Popoviciu at n >= 10^20 by the deletion
+identity, polynomial parts and residues against each other, fiber cardinality
 against its closed form, and Frobenius values against a representability
 scan.  The first mismatch is reported with the minimal failing (a, n,
 route-pair).
@@ -21,6 +22,8 @@ from .congruence import _Value, build_fiber_index, make_instance
 from .frobenius import frobenius_general, frobenius_pair, representability_scan
 from .partition import (
     is_zero,
+    p,
+    p_floorsum,
     p_oracle_upto,
     p_popoviciu,
     p_product,
@@ -213,6 +216,41 @@ def run_selfcheck(
                 )
             cases += 1
     passed("popoviciu", cases)
+
+    # Floor sums vs oracle on random triples; small entries make gcds and
+    # repeated weights common.
+    cases = 0
+    rng = random.Random(seed + 4)
+    for _ in range(max(10, instances)):
+        a = tuple(rng.randint(1, max_entry) for _ in range(3))
+        oracle = p_oracle_upto(a, max_n)
+        for n in range(max_n + 1):
+            got = p_floorsum(a, n)
+            if got != oracle[n]:
+                return fail(
+                    "floorsum", a, n, "floorsum vs oracle",
+                    f"floorsum={got}, oracle={oracle[n]}",
+                )
+            cases += 1
+    passed("floorsum", cases)
+
+    # Deletion identity p_a(n) - p_a(n - a3) = p_(a1,a2)(n) at n >= 10^20, far
+    # past any oracle; p() sends the pair to Popoviciu.  Its own sample, so
+    # max_n bounds only the oracle.
+    cases = 0
+    rng = random.Random(seed + 5)
+    for _ in range(max(10, instances)):
+        a = tuple(rng.randint(1, max_entry) for _ in range(3))
+        n = rng.randint(10**20, 10**30)
+        left = p_floorsum(a, n) - p_floorsum(a, n - a[2])
+        right = p(a[:2], n)
+        if left != right:
+            return fail(
+                "deletion", a, n, "floorsum difference vs popoviciu",
+                f"p(n) - p(n - {a[2]})={left}, pair={right}",
+            )
+        cases += 1
+    passed("deletion", cases)
 
     # D-invariance: values and box-average polynomial under lcm/product/2*lcm.
     cases = 0

@@ -110,12 +110,36 @@ class TestEval:
         # a 10^12-cell DP table used to die with a MemoryError traceback
         for argv in (
             ("eval", "-a", "1000,1001,1002", "-n", "1000000000000", "--method", "oracle"),
-            ("eval", "-a", "1000,1001,1002", "-n", "1000000000000"),
+            ("eval", "-a", "1000,1001,1002,1003", "-n", "1000000000000"),
             ("bench", "-a", "1000,1001,1002", "-n", "1000000000000", "--methods", "oracle"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (3, ""), argv
             assert err.count("\n") == 1 and err.startswith("size guard"), argv
+
+    def test_triple_needs_no_table(self, capsys):
+        # the guard used to refuse this triple; floor sums need no table, and
+        # p(n) - p(n - 1002) counts the solutions with no 1002, a pair
+        def value(spec, n):
+            code, env = run_json(capsys, "eval", "-a", spec, "-n", str(n))
+            assert code == 0
+            return env["result"]["resolved_method"], int(env["result"]["values"][0]["p"])
+
+        n = 10**12
+        method, whole = value("1000,1001,1002", n)
+        assert method == "floorsum"
+        assert whole - value("1000,1001,1002", n - 1002)[1] == value("1000,1001", n)[1]
+        _, env = run_json(capsys, "eval", "-a", "9973,10007,99798911", "-n", "100000000..100000001")
+        assert [v["p"] for v in env["result"]["values"]] == ["1", "1"]
+
+    def test_floorsum_requires_three_weights(self, capsys):
+        for argv in (
+            ("eval", "-a", "3,5", "-n", "8", "--method", "floorsum"),
+            ("bench", "-a", "2,3,5,7", "-n", "8", "--methods", "floorsum"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "three weights" in err, argv
 
     @pytest.mark.parametrize("a", ["4", "3,5", "4,6", "2,3,4", "4,6,9", "2,3,5,7", "6,10,15"])
     @pytest.mark.parametrize("n", ["0", "40", "0..100", "1000", "10000"])
@@ -284,6 +308,14 @@ class TestBench:
         assert {row["method"] for row in env["result"]["methods"]} == {
             "popoviciu", "oracle", "product",
         }
+
+    def test_default_methods_of_a_triple(self, capsys):
+        code, env = run_json(capsys, "bench", "-a", "6,10,15", "-n", "200", "--points", "4")
+        assert code == 0
+        assert env["result"]["values_agree"] is True
+        assert [row["method"] for row in env["result"]["methods"]] == [
+            "product", "stirling", "quasipoly", "oracle", "floorsum",
+        ]
 
     def test_rejects_unknown_method(self, capsys):
         code, _, err = run_cli(capsys, "bench", "-a", "3,5", "-n", "10", "--methods", "magic")

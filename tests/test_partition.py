@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, gcd, prod
 
 import pytest
@@ -20,6 +21,7 @@ from denumerant import (
     is_zero,
     make_instance,
     p,
+    p_floorsum,
     p_oracle,
     p_oracle_upto,
     p_popoviciu,
@@ -98,6 +100,13 @@ class TestStirlingRoute:
     )
     def test_examples(self, a, n, expected):
         assert p_stirling(a, n) == expected
+
+    def test_kernel_is_shared_and_immutable(self):
+        # point queries on one (r, D) reuse one cached kernel, so no caller
+        # may change it
+        kernel = partition._stirling_kernel(3, 12)
+        assert partition._stirling_kernel(3, 12) is kernel
+        assert all(isinstance(row, tuple) for row in (kernel, *kernel))
 
 
 class TestQuasiPolynomial:
@@ -286,6 +295,76 @@ class TestPopoviciu:
         assert p_popoviciu(3, 5, 10**9) == p_popoviciu(3, 5, 10**9 % 15) + 10**9 // 15
 
 
+_entry = st.integers(1, 40)
+# weights <= 40: arbitrary; gcd(a) > 1; only gcd(a1, a2) > 1; a repeat; a 1
+_triples = st.one_of(
+    st.tuples(_entry, _entry, _entry),
+    st.tuples(st.integers(2, 6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)).map(
+        lambda t: (t[0] * t[1], t[0] * t[2], t[0] * t[3])
+    ),
+    st.tuples(st.integers(2, 6), st.integers(1, 6), st.integers(1, 6), _entry).map(
+        lambda t: (t[0] * t[1], t[0] * t[2], t[3])
+    ),
+    st.tuples(_entry, _entry).map(lambda t: (t[0], t[0], t[1])),
+    st.tuples(_entry, _entry).map(lambda t: (1, t[0], t[1])),
+).flatmap(st.permutations).map(tuple)
+
+
+class TestFloorSum:
+    @settings(max_examples=150, deadline=None)
+    @given(_triples)
+    def test_matches_oracle(self, a):
+        table = p_oracle_upto(a, 300)
+        assert [p_floorsum(a, n) for n in range(301)] == table
+
+    @settings(max_examples=60, deadline=None)
+    @given(_triples, st.integers(0, 10**30))
+    def test_permutation_invariant(self, a, n):
+        assert len({p_floorsum(b, n) for b in permutations(a)}) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(_triples, st.integers(10**20, 10**30))
+    def test_deletion_identity(self, a, n):
+        # p_a(n) - p_a(n - a3) counts the solutions with x3 = 0; Popoviciu
+        # answers the pair, and shares no step with the floor sums
+        assert p_floorsum(a, n) - p_floorsum(a, n - a[2]) == p(a[:2], n)
+
+    @pytest.mark.parametrize("a", [(6, 10, 15), (8, 9, 12), (4, 6, 9), (2, 3, 7), (1, 1, 1)])
+    def test_matches_product_on_an_index(self, a):
+        index = build_fiber_index(make_instance(a))
+        ns = [10**12 + k for k in range(2 * index.instance.D + 1)]
+        assert [p_floorsum(a, n) for n in ns] == [p_product(a, n, index=index) for n in ns]
+
+    def test_needs_no_table(self):
+        # the skewed triple whose histogram (2.0e8 entries) the guard refused,
+        # and a triple far past every table, both at the smallest guard
+        a = (9973, 10007, 9973 * 10007)
+        assert [p_floorsum(a, n) for n in (10**7, 10**8, 10**12)] == [0, 1, 50205210]
+        assert p(a, 10**12, max_box=1) == 50205210
+        assert route_for(make_instance((1001, 1003, 1007)), 10**30, max_box=1) == "floorsum"
+
+    def test_independent_of_other_routes(self, monkeypatch):
+        a = (6, 10, 15)
+        want = p_oracle_upto(a, 200)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("floorsum used another route")
+
+        monkeypatch.setattr(congruence, "box_sum_histogram", refuse)
+        for name in ("_stirling_row", "p_oracle_upto", "p_popoviciu"):
+            monkeypatch.setattr(partition, name, refuse)
+        assert [p_floorsum(a, n) for n in range(201)] == want
+        assert [p(a, n) for n in range(201)] == want
+        assert [is_zero(a, n) for n in range(201)] == [w == 0 for w in want]
+
+    def test_rejects_other_lengths(self):
+        for a in [(3, 5), (2, 3, 5, 7)]:
+            with pytest.raises(ValueError, match="three weights"):
+                p_floorsum(a, 10)
+        with pytest.raises(ValueError):
+            p_floorsum((2, 3, 5), -1)
+
+
 class TestIsZero:
     def test_examples(self):
         assert is_zero((3, 5), 7) is True
@@ -372,10 +451,10 @@ class TestRouter:
                 assert p(a, n) == table[n]
 
     def test_falls_back_to_oracle_past_guard(self):
-        # the histogram of (4,6,9) has 90 entries, over the guard; the
+        # the histogram of (4,6,9,10) has 692 entries, over the guard; the
         # oracle's 51 cells fit
-        assert route_for(make_instance((4, 6, 9)), 50, max_box=60) == "oracle"
-        assert p((4, 6, 9), 50, max_box=60) == p_oracle((4, 6, 9), 50)
+        assert route_for(make_instance((4, 6, 9, 10)), 50, max_box=60) == "oracle"
+        assert p((4, 6, 9, 10), 50, max_box=60) == p_oracle((4, 6, 9, 10), 50)
 
     def test_route_for_picks_the_shorter_table(self):
         heavy = make_instance((2, 3, 5, 7))  # 824 histogram entries
@@ -430,7 +509,7 @@ EVALUATED = [(3, 4, 9, 10), (2, 3, 4, 5), (6, 10, 15), (8, 9, 12), (2, 2, 2, 2),
         pytest.param(route, a, id=f"{route}-{','.join(map(str, a))}")
         for route in cli._EVAL_METHODS[1:]
         for a in EVALUATED
-        if route != "popoviciu" or len(a) == 2
+        if {"popoviciu": 2, "floorsum": 3}.get(route, len(a)) == len(a)
     ],
 )
 def test_evaluator_matches_oracle(route, a, several, monkeypatch):

@@ -8,5 +8,5 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_quick_tour():
     result = doctest.testfile(str(README), module_relative=False)
-    assert result.attempted == 9
+    assert result.attempted == 10
     assert result.failed == 0

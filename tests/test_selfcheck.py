@@ -49,6 +49,8 @@ class TestReport:
         assert names == [
             "route-agreement",
             "popoviciu",
+            "floorsum",
+            "deletion",
             "d-invariance",
             "polypart-agreement",
             "residue-mean",
