@@ -7,8 +7,8 @@ truncates at 64 bits; rationals carry a [numerator, denominator] pair plus a
 decimal convenience string.  `--plain` switches to human-readable tables.
 
 `eval` and `bench` compute p_a(n) through `partition._evaluator`, the one
-evaluator `p()` also uses; this module keeps only their usage rules (which
-methods an instance admits, bench's default method list) and rendering.
+evaluator `p()` also uses, and take the method names and each one's usage
+rule from `partition._ROUTES`; this module parses arguments and renders.
 
 Exit codes: 0 success, 2 usage error, 3 size guard tripped, 4 cross-route or
 self-check mismatch or a failed integrality check (ArithmeticError).
@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import _STARTED
 from .congruence import DEFAULT_MAX_BOX, BoxTooLargeError, Instance, list_fibers, make_instance
 from .frobenius import frobenius_general, frobenius_pair
-from .partition import _evaluator, quasipoly, route_for
+from .partition import _ROUTES, _evaluator, quasipoly, route_for
 from .polypart import (
     format_polynomial,
     polypart_bernoulli,
@@ -44,7 +44,7 @@ EXIT_MISMATCH = 4
 
 MAX_N_VALUES = 10**6  # most values one -n lo..hi range may hold
 
-_EVAL_METHODS = ("auto", "product", "stirling", "quasipoly", "popoviciu", "floorsum", "oracle")
+_EVAL_METHODS = ("auto", *_ROUTES)
 
 
 class UsageError(Exception):
@@ -158,13 +158,9 @@ def _max_box(args) -> int:
 # routes: eval's usage rule and the polynomial-part and residue tables
 
 def _check_method(method: str, inst: Instance) -> None:
-    if method == "popoviciu" and not (inst.r == 2 and inst.g == 1):
-        raise UsageError(
-            "popoviciu needs exactly two coprime weights; "
-            f"got a={inst.a} with gcd {inst.g}"
-        )
-    if method == "floorsum" and inst.r != 3:
-        raise UsageError(f"floorsum needs exactly three weights; got a={inst.a}")
+    rule = _ROUTES[method][0] if method in _ROUTES else None  # "auto" has none
+    if rule and not rule[0](inst):
+        raise UsageError(f"{method} needs " + rule[1].format(a=inst.a, g=inst.g))
 
 
 # Each route takes (instance, args); only "box" reads the size guard.
@@ -295,12 +291,8 @@ def _cmd_bench(args):
     max_box = _max_box(args)
 
     wanted = [m.strip() for m in args.methods.split(",")] if args.methods else []
-    if not wanted:
-        wanted = ["product", "stirling", "quasipoly", "oracle"]
-        if inst.r == 2 and inst.g == 1:
-            wanted.append("popoviciu")
-        if inst.r == 3:
-            wanted.append("floorsum")
+    admitted = [m for m, (rule, _, _) in _ROUTES.items() if not rule or rule[0](inst)]
+    wanted = wanted or sorted(admitted, key=lambda m: _ROUTES[m][0] is not None)  # general routes first
     for m in wanted:
         if m not in _EVAL_METHODS[1:]:
             raise UsageError(f"--methods entries must be one of {_EVAL_METHODS[1:]}, got {m!r}")

@@ -22,23 +22,21 @@ pairs, so a term is computed once per distinct sum and scaled by its count.
 Every fiber is a residue column of the box-sum histogram H, read by a point
 query (:func:`denumerant.congruence.fiber`) or from a fiber index, which is
 H itself.
-:func:`route_for` is the only router, and the private ``_evaluator`` the
-only step from a route name to a value: :func:`p` and the CLI's ``eval``
-and ``bench`` all evaluate through it.  Up to three weights the router
-picks a route that builds no table (a one-tuple fiber, Popoviciu, floor
-sums), so only r >= 4 weighs H against the oracle under the size guard.
+The private table ``_ROUTES`` holds each route's usage rule, guard size
+and evaluator factory.  :func:`route_for`, the only router, takes its row of
+smallest guard size, and the private ``_evaluator`` calls a row's factory:
+:func:`p` and the CLI's ``eval`` and ``bench`` all evaluate through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from functools import lru_cache, partial
+from math import comb, factorial, gcd, inf, lcm
 from typing import Iterable, Sequence
 
 from .congruence import (
     DEFAULT_MAX_BOX,
-    BoxTooLargeError,
     DChoice,
     Fiber,
     FiberIndex,
@@ -355,21 +353,52 @@ def p_unrestricted(n: int, max_box: int = DEFAULT_MAX_BOX) -> int:
     return p_product(a, n, lcm(*a), max_box=max_box)
 
 
+def _fiber_route(fn, inst: Instance, n_max: int, max_box: int, several: bool):
+    """Route `fn` on one fiber per n, from the fiber index if `several` n share it."""
+    index = build_fiber_index(inst, max_box) if several else None
+    return lambda n: fn(inst.a, n, inst.D, index=index, max_box=max_box)
+
+
+def _popoviciu_route(inst: Instance, n_max: int, max_box: int, several: bool):
+    """p_(a/g)(n/g) when g = gcd(a) divides n, else 0, for any pair."""
+    if inst.r != 2:
+        raise ValueError(f"popoviciu needs exactly two weights, got {inst.a}")
+    g = inst.g
+    return lambda n: 0 if n % g else p_popoviciu(inst.a[0] // g, inst.a[1] // g, n // g)
+
+
+# One row (rule, size, factory) per eval method.  rule: None, or (predicate, wording
+# with {a} and {g}) that a named method needs.  size(inst, n): what the guard bounds;
+# 0 builds nothing, None does not serve inst.  factory(inst, n_max, max_box, several):
+# n -> p_a(n).  Rows that build nothing come first, where route_for mostly stops.
+_ROUTES = {
+    "popoviciu": ((lambda inst: (inst.r, inst.g) == (2, 1), "exactly two coprime weights; got a={a} with gcd {g}"),
+                  lambda inst, n: 0 if inst.r == 2 else None, _popoviciu_route),
+    "floorsum": ((lambda inst: inst.r == 3, "exactly three weights; got a={a}"),
+                 lambda inst, n: 0 if inst.r == 3 else None, lambda inst, *_: partial(p_floorsum, inst.a)),
+    "product": (None, lambda inst, n: 0 if inst.r == 1 else inst.histogram_length,
+                partial(_fiber_route, p_product)),
+    "stirling": (None, None, partial(_fiber_route, p_stirling)),
+    "quasipoly": (None, None, lambda inst, n_max, max_box, _: partial(
+        p_quasipoly, quasipoly(inst.a, inst.D, max_box=max_box))),
+    "oracle": (None, lambda inst, n: n + 1, lambda inst, n_max, max_box, _: p_oracle_upto(
+        inst.a, n_max, max_box=max_box).__getitem__),
+}
+
+
 def route_for(inst: Instance, n: int, max_box: int = DEFAULT_MAX_BOX) -> str:
-    """The eval method for p_a(n): "product" for r = 1 (its one-tuple fiber
-    builds nothing); "popoviciu" on a/g for a pair, as p_a(n) = p_(a/g)(n/g)
-    if g = gcd(a) divides n, else 0; "floorsum" for a triple.  None of these
-    three builds a table, so none reads max_box.  For r >= 4, the shorter
-    table that fits max_box, "product" on the box-sum histogram or "oracle"
-    on n + 1 DP cells, and BoxTooLargeError if neither fits."""
-    if inst.r <= 3:
-        return ("product", "popoviciu", "floorsum")[inst.r - 1]
-    size = inst.histogram_length
-    if size <= min(n + 1, max_box):
-        return "product"
-    if n + 1 <= max_box:
-        return "oracle"
-    raise BoxTooLargeError(min(size, n + 1), max_box, "shorter table (histogram or oracle) length")
+    """The eval method for p_a(n): the ``_ROUTES`` row with the smallest guard
+    size, the first on a tie; BoxTooLargeError if that size exceeds max_box."""
+    _check_n(n)
+    route, size = None, inf
+    for name, (_, size_of, _) in _ROUTES.items():
+        s = size_of and size_of(inst, n)
+        if s == 0:  # builds nothing (r <= 3), so picked whatever max_box is
+            return name
+        if s is not None and s < size:
+            route, size = name, s
+    _guard(size, max_box, "shorter table (histogram or oracle) length")
+    return route
 
 
 def p(
@@ -380,32 +409,11 @@ def p(
     max_box: int = DEFAULT_MAX_BOX,
 ) -> int:
     """p_a(n) by the route :func:`route_for` picks, through :func:`_evaluator`."""
-    _check_n(n)
     inst = make_instance(a, d_choice)
     return _evaluator(route_for(inst, n, max_box), inst, n, max_box)(n)
 
 
 def _evaluator(route: str, inst: Instance, n_max: int, max_box: int, several: bool = False):
-    """n -> p_a(n) by a route name (an eval method other than "auto"), after
-    the route's one-time set-up: the oracle's DP table up to n_max; for
-    "popoviciu", p_(a/g)(n/g) when g = gcd(a) divides n, else 0; none for
-    "floorsum"; the quasi-polynomial table; or, for "product" and
-    "stirling", the fiber index when `several` n share it (a single n reads
-    one fiber).
-    :func:`p`, ``eval`` and ``bench`` all evaluate through it."""
-    if route == "oracle":
-        return p_oracle_upto(inst.a, n_max, max_box=max_box).__getitem__
-    if route == "popoviciu":
-        g = inst.g
-        a1, a2 = inst.a[0] // g, inst.a[1] // g
-        return lambda n: 0 if n % g else p_popoviciu(a1, a2, n // g)
-    if route == "floorsum":
-        return lambda n: p_floorsum(inst.a, n)
-    if route == "quasipoly":
-        qp = quasipoly(inst.a, inst.D, max_box=max_box)
-        return lambda n: p_quasipoly(qp, n)
-    fn = p_product if route == "product" else p_stirling
-    if several:
-        index = build_fiber_index(inst, max_box)
-        return lambda n: fn(inst.a, n, index=index)
-    return lambda n: fn(inst.a, n, inst.D, max_box=max_box)
+    """n -> p_a(n) after the set-up of ``_ROUTES`` row `route` (KeyError if none)
+    for n <= n_max, shared by `several` n; :func:`p`, ``eval`` and ``bench`` use it."""
+    return _ROUTES[route][2](inst, n_max, max_box, several)

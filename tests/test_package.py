@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +52,8 @@ def test_cli_evaluates_through_partition():
     routes = {"p_product", "p_stirling", "p_quasipoly", "p_oracle_upto", "build_fiber_index"}
     assert routes & set(vars(cli)) == set()
     assert cli._evaluator is partition._evaluator
+    # and no second route list: the methods are the table's rows, and no route
+    # name is spelled out in the CLI's source
+    assert cli._EVAL_METHODS[1:] == tuple(partition._ROUTES)
+    source = Path(cli.__file__).read_text()
+    assert '"popoviciu"' not in source and '"floorsum"' not in source

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denumerant import cli, congruence, partition
+from denumerant import congruence, partition
 from denumerant import (
     DEFAULT_MAX_BOX,
     BoxTooLargeError,
@@ -497,6 +497,51 @@ class TestRouter:
     def test_divisibility_shortcut(self):
         assert [p((4,), n) for n in range(9)] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
+    @pytest.mark.parametrize("n", [-5, 2.5, True])
+    def test_rejects_invalid_n(self, n):
+        with pytest.raises(ValueError):
+            route_for(make_instance((2, 3, 5, 7)), n)
+
+
+# (a, d_choice, n, max_box, the route picked or the BoxTooLargeError size);
+# (2,3,5,7) and (4,6,10,14) have 824 histogram entries, (4,6,9,10) 692, and
+# (2,4,6,8) 39 with D = lcm = 24 but 759 with D = product = 384
+ROUTER_LADDER = [
+    ((2, 3, 5, 7), "lcm", 10**6, 824, "product"),  # H length equal to the guard fits
+    ((2, 3, 5, 7), "lcm", 10**6, 823, 824),  # one past it does not
+    ((2, 3, 5, 7), "lcm", 823, 824, "product"),  # H ties the oracle's n + 1 at the guard
+    ((2, 3, 5, 7), "lcm", 823, 823, 824),
+    ((2, 3, 5, 7), "lcm", 822, 823, "oracle"),
+    ((4, 6, 10, 14), "lcm", 2000, DEFAULT_MAX_BOX, "product"),  # gcd 2
+    ((4, 6, 10, 14), "lcm", 100, DEFAULT_MAX_BOX, "oracle"),
+    ((4, 6, 10, 14), "lcm", 10**6, 800, 824),
+    ((2, 4, 6, 8), "lcm", 100, DEFAULT_MAX_BOX, "product"),
+    ((2, 4, 6, 8), "product", 100, DEFAULT_MAX_BOX, "oracle"),  # the period changes the pick
+    ((2, 4, 6, 8), "product", 100, 50, 101),
+    ((4, 6, 9, 10), "lcm", 500, 400, 501),  # the error names the smaller table: the oracle
+    ((4, 6, 9, 10), "lcm", 10**6, 400, 692),  # or the histogram
+    ((5,), "lcm", 10**30, 1, "product"),  # up to three weights nothing is built,
+    ((5,), "lcm", 10, -1, "product"),  # so even a guard below 1 is never read
+    ((4, 6), "lcm", 10, 0, "popoviciu"),
+    ((2, 3, 5), "lcm", 10, -1, "floorsum"),
+    ((3,), 3 * 10**12, 3 * 10**7, 1, "product"),
+    ((3, 5), "lcm", 10**30, 1, "popoviciu"),
+    ((4, 6), "lcm", 10**30, 1, "popoviciu"),
+    ((1001, 1003, 1007), "lcm", 10**30, 1, "floorsum"),
+    ((4, 6, 9), "product", 10**30, 1, "floorsum"),
+]
+
+
+@pytest.mark.parametrize("a,d_choice,n,max_box,want", ROUTER_LADDER)
+def test_router_ladder(a, d_choice, n, max_box, want):
+    inst = make_instance(a, d_choice)
+    if isinstance(want, str):
+        assert route_for(inst, n, max_box) == want
+    else:
+        with pytest.raises(BoxTooLargeError) as info:
+            route_for(inst, n, max_box)
+        assert (info.value.size, info.value.max_box) == (want, max_box)
+
 
 # the curated instances of acceptance criterion 6, and pairs (one with gcd 2)
 EVALUATED = [(3, 4, 9, 10), (2, 3, 4, 5), (6, 10, 15), (8, 9, 12), (2, 2, 2, 2), (3, 5), (4, 6), (1, 7)]
@@ -507,14 +552,15 @@ EVALUATED = [(3, 4, 9, 10), (2, 3, 4, 5), (6, 10, 15), (8, 9, 12), (2, 2, 2, 2),
     "route,a",
     [
         pytest.param(route, a, id=f"{route}-{','.join(map(str, a))}")
-        for route in cli._EVAL_METHODS[1:]
+        for route, (_, size, _) in partition._ROUTES.items()
         for a in EVALUATED
-        if {"popoviciu": 2, "floorsum": 3}.get(route, len(a)) == len(a)
+        if size is None or size(make_instance(a), 0) is not None
     ],
 )
 def test_evaluator_matches_oracle(route, a, several, monkeypatch):
-    # every route name p(), eval and bench can resolve to, with and without
-    # the shared set-up for several n; after that set-up no n builds a histogram
+    # every route name p(), eval and bench can resolve to, on every instance
+    # its row serves (a gcd pair too, for popoviciu), with and without the
+    # shared set-up for several n; after that set-up no n builds a histogram
     inst = make_instance(a)
     n_max = 2 * inst.D + 7
     want = p_oracle_upto(a, n_max)
@@ -522,3 +568,12 @@ def test_evaluator_matches_oracle(route, a, several, monkeypatch):
     if several:
         monkeypatch.setattr(congruence, "box_sum_histogram", None)
     assert [value_at(n) for n in range(n_max + 1)] == want
+
+
+def test_evaluator_refuses_what_it_cannot_answer():
+    # no name falls through to another route, and popoviciu reads no third weight
+    with pytest.raises(KeyError):
+        partition._evaluator("magic", make_instance((2, 3, 5)), 10, 100)
+    for a in [(5,), (2, 3, 5)]:
+        with pytest.raises(ValueError):
+            partition._evaluator("popoviciu", make_instance(a), 10, 100)
