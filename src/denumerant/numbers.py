@@ -1,10 +1,13 @@
 """Exact special-number sequences used by the counting formulas.
 
 No floating point appears anywhere in this package's math.  Bernoulli-Barnes
-numbers and box power sums are read off products of r power series truncated
-at the degree asked for, O(r j^2) exact operations for degree j: integer
-exponential generating functions (`_egf_product`) for the Bernoulli series,
-``fractions.Fraction`` series (`_truncated_product`) for the power sums.
+numbers up to degree j are the exponential of a series in the r power sums
+sum_i a_i^k, O(r j + j^2) integer operations (`_barnes_log_table`,
+`_egf_exp`); box power sums are read off a product of r ``fractions.Fraction``
+power series (`_truncated_product`), O(r j^2) operations.  `_egf_product`
+multiplies integer exponential generating functions for the polynomial
+part's Bernoulli route, which the tests compare with the Bernoulli-Barnes
+numbers.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
+from operator import add, mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -26,7 +30,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def rising_factorial_coeffs(r: int) -> tuple[int, ...]:
     """Coefficients c[k] of x^k in the expansion of (x+1)(x+2)...(x+r-1).
 
@@ -87,10 +91,21 @@ def _truncated_product(factors: Iterable[Sequence[Fraction]], n: int) -> list[Fr
     return out
 
 
-@lru_cache(maxsize=None)
-def _binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
+# Pascal's triangle, rows 0.. as far as any call has needed; a longer table
+# replaces it whole, so a reader never sees a half-built one.
+_PASCAL: list[tuple[int, ...]] = [(1,)]
+
+
+def _binomial_rows(n: int) -> list[tuple[int, ...]]:
     """Rows 0..n-1 of Pascal's triangle."""
-    return tuple(tuple(comb(k, i) for i in range(k + 1)) for k in range(n))
+    global _PASCAL
+    rows = _PASCAL
+    if len(rows) < n:
+        rows = rows.copy()
+        while len(rows) < n:
+            rows.append((1, *map(add, rows[-1], rows[-1][1:]), 1))
+        _PASCAL = rows
+    return rows[:n]
 
 
 def _egf_product(factors: Iterable[Sequence[int]], n: int) -> list[int]:
@@ -99,7 +114,7 @@ def _egf_product(factors: Iterable[Sequence[int]], n: int) -> list[int]:
     rows = _binomial_rows(n)
     out = [1] + [0] * (n - 1)
     for f in factors:
-        out = [sum(c * x * y for c, x, y in zip(rows[k], out, f[k::-1])) for k in range(n)]
+        out = [sum(map(mul, map(mul, rows[k], out), f[k::-1])) for k in range(n)]
     return out
 
 
@@ -113,33 +128,74 @@ def _validate_weights(a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
+def _exact_div(total: int, den: int, what: str) -> int:
+    q, rem = divmod(total, den)
+    if rem:
+        raise ArithmeticError(f"{what}: {total} is not divisible by {den}")
+    return q
+
+
+@lru_cache(maxsize=16)
+def _barnes_log_table(n: int) -> tuple[int, tuple[int, ...]]:
+    """s = lcm(1..n)^2 and s lambda_0..s lambda_{n-1}, where lambda_0 = 0,
+    lambda_1 = 1/2 and lambda_k = B_k/k are the EGF coefficients of
+    log((e^t - 1)/t); s clears each denominator, which divides k denom(B_k),
+    and k and denom(B_k) both divide lcm(1..n).
+
+    With l = lcm(1..n) the series (e^t - 1)/t is (1/l) sum_k c_k t^k/k!,
+    c_k = l/(k+1), and F' = F lambda' gives, one exact division each,
+    l s lambda_k = s c_k - sum_{j<k} C(k-1, j-1) s lambda_j c_{k-j}.
+    Integers only; no Bernoulli numbers."""
+    ell = lcm(*range(1, n + 1))
+    s, c = ell * ell, [ell // (k + 1) for k in range(n)]
+    rows, log = _binomial_rows(n), [0] * n
+    for k in range(1, n):
+        num = s * c[k] - sum(map(mul, map(mul, rows[k - 1], log[1:k]), c[k - 1:0:-1]))
+        log[k] = _exact_div(num, ell, f"log table {n}, coefficient {k}")
+    return s, tuple(log)
+
+
+def _egf_exp(h: Sequence[int], den: int, g0: int) -> list[int]:
+    """g0 times the EGF coefficients 0..len(h)-1 of exp(h/den), for an integer
+    EGF h with h_0 = 0 whose exponential g0 makes integral: g_k is
+    sum_{j=1..k} C(k-1, j-1) h_j g_{k-j} / den (from g' = h' g/den)."""
+    n = len(h)
+    rows, g = _binomial_rows(n), [g0]
+    for k in range(1, n):
+        num = sum(map(mul, map(mul, rows[k - 1], h[1:k + 1]), g[k - 1::-1]))
+        g.append(_exact_div(num, den, f"exponential, coefficient {k}"))
+    return g
+
+
 def _bernoulli_barnes_upto(n: int, a: Sequence[int]) -> tuple[list[int], int]:
     """B_0(a)..B_{n-1}(a) as numerators v_0..v_{n-1} over one denominator.
 
-    Scaled by l = lcm(1..n), the EGF coefficients a_i^k/(k+1) of
-    (e^{a_i z} - 1)/(a_i z) are integers; p is their product, s = p_0 = l^r.
-    v_k is s times the z^k EGF coefficient of 1/p, an integer by von
-    Staudt-Clausen, so B_j(a) = v_j / (s prod a).  No Bernoulli numbers."""
+    prod_i a_i z/(e^{a_i z} - 1) = exp(-sum_k lambda_k p_k z^k/k!) with the
+    power sums p_k = sum_i a_i^k and lambda_k from `_barnes_log_table`, so
+    the weights enter only through p_1..p_{n-1}.  Its z^j EGF coefficient
+    is B_j(a) prod a, a sum of products of at most min(r, j) Bernoulli
+    numbers B_m, m < n, whose denominators divide l = lcm(1..n); so
+    v_j = l^min(r, n-1) B_j(a) prod a is an integer.  Cost O(r n + n^2)
+    operations on integers of O(n (min(r, n) + log(n max a))) bits."""
     a = _validate_weights(a)
-    ell = lcm(*range(1, n + 1))
-    p = _egf_product(([ai**k * ell // (k + 1) for k in range(n)] for ai in a), n)
-    rows, s, v = _binomial_rows(n), p[0], [p[0]]
-    for k in range(1, n):  # v_k = -(sum_{i=1..k} C(k,i) p_i v_{k-i}) / s
-        num, rem = divmod(-sum(c * x * y for c, x, y in zip(rows[k][1:], p[1:], v[::-1])), s)
-        if rem:
-            raise ArithmeticError(f"Bernoulli-Barnes numerator {k} of {a} is not integral")
-        v.append(num)
-    return v, s * prod(a)
+    s, log = _barnes_log_table(n)
+    powers, h = list(a), [0] * n
+    for k in range(1, n):
+        h[k] = -log[k] * sum(powers)
+        powers = list(map(mul, powers, a))
+    scale = lcm(*range(1, n + 1)) ** min(len(a), n - 1)
+    return _egf_exp(h, s, scale), scale * prod(a)
 
 
 def bernoulli_barnes(j: int, a: Sequence[int]) -> Fraction:
     """Bernoulli-Barnes number B_j(a_1,...,a_r): j! times the z^j coefficient
-    of prod_i z/(e^{a_i z} - 1), that is of the reciprocal of the product of
-    the r series sum_k a_i^k z^k/(k+1)!, over a_1...a_r.
+    of prod_i z/(e^{a_i z} - 1) = exp(-sum_k lambda_k p_k z^k/k!)/(a_1...a_r),
+    where p_k = a_1^k + ... + a_r^k and lambda_k = B_k/k (lambda_1 = 1/2) are
+    the EGF coefficients of log((e^t - 1)/t).
 
     Equal to the multinomial sum over compositions i_1+...+i_r = j of
     C(j; i_1,...,i_r) * B_{i_1}...B_{i_r} * a_1^{i_1-1}...a_r^{i_r-1};
-    B_0(a) = 1/(a_1...a_r).  Cost O(r j^2) integer operations.
+    B_0(a) = 1/(a_1...a_r).  Cost O(r j + j^2) integer operations.
     """
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")

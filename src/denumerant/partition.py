@@ -48,7 +48,7 @@ from .congruence import (
     fiber,
     make_instance,
 )
-from .numbers import rising_factorial_coeffs, rising_factorial_eval
+from .numbers import _exact_div, rising_factorial_coeffs, rising_factorial_eval
 
 __all__ = [
     "QuasiPolynomial",
@@ -97,13 +97,6 @@ class QuasiPolynomial(_Value):
         if not 0 <= m < r:
             raise ValueError(f"m must be in 0..{r - 1}, got {m}")
         return self.coeffs[m][v % self.instance.D]
-
-
-def _exact_div(total: int, den: int, what: str) -> int:
-    q, rem = divmod(total, den)
-    if rem:
-        raise ArithmeticError(f"{what}: {total} is not divisible by {den}")
-    return q
 
 
 def _check_index(index: FiberIndex, a: Sequence[int]) -> Instance:

@@ -157,7 +157,9 @@ def residues_powersum(a: Sequence[int], d_choice: DChoice = "lcm") -> ResidueVec
 
 def residues_bernoulli_barnes(a: Sequence[int]) -> ResidueVector:
     """R_m = ((-1)^{r-m}/((m-1)!(r-m)!)) * B_{r-m}(a_1,...,a_r), reading
-    B_0(a)..B_{r-1}(a) off one reciprocal series (see :func:`bernoulli_barnes`).
+    B_0(a)..B_{r-1}(a) off the exponential of one series in the power sums
+    a_1^k + ... + a_r^k, O(r^2) integer operations and no Bernoulli numbers
+    (see :func:`bernoulli_barnes`).
 
     The (r-m)! undoes the multinomial normalization baked into the
     Bernoulli-Barnes numbers; dropping it inflates R_m by exactly that

@@ -4,10 +4,10 @@ Draws seeded instances (rejecting any whose enumeration box would blow the
 budget, so runs stay fast and deterministic) and checks that every
 independent computation route agrees exactly: counting routes against the DP
 oracle, the triple route also against Popoviciu at n >= 10^20 by the deletion
-identity, polynomial parts and residues against each other, fiber cardinality
-against its closed form, and Frobenius values against a representability
-scan.  The first mismatch is reported with the minimal failing (a, n,
-route-pair).
+identity, polynomial parts and residues against each other (the two series
+routes also at r = 20..40), fiber cardinality against its closed form, and
+Frobenius values against a representability scan.  The first mismatch is
+reported with the minimal failing (a, n, route-pair).
 """
 
 from __future__ import annotations
@@ -314,6 +314,23 @@ def run_selfcheck(
                     )
             cases += 1
     passed("residue-mean", cases)
+
+    # The two series routes at r = 20..40, where the box is out of reach: the
+    # Bernoulli route multiplies r series of Bernoulli numbers, the
+    # Bernoulli-Barnes route exponentiates the power sums of the weights.
+    cases = 0
+    rng = random.Random(seed + 6)
+    for _ in range(3):
+        a = tuple(rng.randint(1, max_entry) for _ in range(rng.randint(20, 40)))
+        bern, barnes = polypart_bernoulli(a).coeffs, residues_bernoulli_barnes(a).values
+        if bern != barnes:
+            m = next(m for m in range(1, len(a) + 1) if bern[m - 1] != barnes[m - 1])
+            return fail(
+                "series-high-r", a, None, f"bernoulli vs barnes R_{m}",
+                f"bernoulli={bern[m - 1]}, barnes={barnes[m - 1]}",
+            )
+        cases += 1
+    passed("series-high-r", cases)
 
     # Fiber cardinality: #fiber(v) = g*D^{r-1}/prod(a) when g | v, else 0.
     cases = 0

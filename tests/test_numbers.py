@@ -2,13 +2,14 @@
 
 Oracles here avoid the library's code paths: power sums by direct loops,
 box power sums by direct box enumeration, Bernoulli-Barnes numbers by the
-product of Bernoulli-number series (the library takes the reciprocal of a
-series free of Bernoulli numbers), and both Bernoulli-Barnes numbers and box
-power sums by the multinomial sums over compositions that the library's
-truncated power series replace.
+product of Bernoulli-number series (the library exponentiates a series in
+the power sums of the weights and uses no Bernoulli numbers), and both
+Bernoulli-Barnes numbers and box power sums by the multinomial sums over
+compositions that the library's power series replace.
 """
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -20,6 +21,7 @@ from denumerant import (
     alpha,
     bernoulli,
     bernoulli_barnes,
+    numbers,
     polypart_bernoulli,
     rising_factorial_coeffs,
     rising_factorial_eval,
@@ -185,6 +187,53 @@ class TestBernoulliBarnes:
         for u in range(r):
             want = (-1) ** u * bernoulli_barnes(u, a) / (factorial(u) * factorial(r - 1 - u))
             assert coeffs[r - 1 - u] == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_against_composition_oracle_random(self, data):
+        # few distinct small weights, so repeats and 1s are common
+        a = tuple(data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)))
+        j = data.draw(st.integers(min_value=0, max_value=len(a) + 6))
+        assert bernoulli_barnes(j, a) == bernoulli_barnes_composition_oracle(j, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8),
+        st.integers(min_value=2, max_value=7),
+        st.integers(min_value=0, max_value=14),
+    )
+    def test_scaling(self, a, c, j):
+        # z -> c z in prod_i z/(e^{a_i z} - 1): B_j(c a) = c^{j-r} B_j(a)
+        a = tuple(a)
+        scaled = tuple(c * x for x in a)
+        assert bernoulli_barnes(j, scaled) == Fraction(c) ** (j - len(a)) * bernoulli_barnes(j, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8).flatmap(
+            lambda a: st.tuples(st.just(tuple(a)), st.permutations(a))
+        ),
+        st.integers(min_value=0, max_value=14),
+    )
+    def test_permutation_invariant(self, pair, j):
+        a, shuffled = pair
+        assert bernoulli_barnes(j, tuple(shuffled)) == bernoulli_barnes(j, a)
+
+    def test_caches_stay_bounded(self):
+        # 32 degrees, twice the log tables kept: what stays behind must not
+        # grow with the number of degrees asked for (one Pascal table per
+        # degree held about 9 MB here and 219 MB for j = 0..300)
+        numbers._barnes_log_table.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for j in range(100, 132):
+                bernoulli_barnes(j, (1, 2))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert numbers._barnes_log_table.cache_info().currsize <= 16
+        assert held < 2 * 10**6
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

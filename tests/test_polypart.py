@@ -156,8 +156,11 @@ class TestHighR:
 
 
 class TestIntegerSeries:
-    """The Bernoulli and Bernoulli-Barnes routes multiply integer EGFs with
-    `_egf_product`; only the power-sum route keeps `_truncated_product`."""
+    """The Bernoulli route multiplies integer EGFs of Bernoulli numbers with
+    `_egf_product`; the Bernoulli-Barnes route exponentiates a series in the
+    power sums of the weights (`_barnes_log_table`, `_egf_exp`) and calls
+    neither `_egf_product` nor `bernoulli`; only the power-sum route keeps
+    `_truncated_product`.  All but the last work in integers."""
 
     TUPLES = [(3, 4, 9, 10), tuple(range(2, 14))]
 
@@ -169,6 +172,7 @@ class TestIntegerSeries:
         def refuse(*args):
             raise AssertionError("Fraction arithmetic in a Bernoulli series")
 
+        numbers._barnes_log_table.cache_clear()  # rebuilt under the patch below
         for name in ("add", "sub", "mul", "truediv"):
             monkeypatch.setattr(Fraction, f"__{name}__", refuse)
             monkeypatch.setattr(Fraction, f"__r{name}__", refuse)
@@ -178,19 +182,27 @@ class TestIntegerSeries:
     @pytest.mark.parametrize("a", TUPLES)
     def test_product_ledger(self, a, monkeypatch):
         d = make_instance(a).D
-        bernoulli_routes = (polypart_bernoulli(a), residues_bernoulli_barnes(a), bernoulli_barnes(3, a))
+        bernoulli_route = polypart_bernoulli(a)
+        barnes_routes = (residues_bernoulli_barnes(a), bernoulli_barnes(3, a))
         powersum_routes = (residues_powersum(a), alpha(3, a, d))
 
         def refuse(*args):
-            raise AssertionError("product used by the wrong route")
+            raise AssertionError("helper used by the wrong route")
+
+        def refuse_all(patch, *names):
+            for mod in (numbers, polypart):
+                for name in names:
+                    patch.setattr(mod, name, refuse, raising=False)
 
         with monkeypatch.context() as patch:
-            for mod in (numbers, polypart):
-                patch.setattr(mod, "_truncated_product", refuse, raising=False)
-            assert (polypart_bernoulli(a), residues_bernoulli_barnes(a), bernoulli_barnes(3, a)) == bernoulli_routes
+            refuse_all(patch, "_truncated_product", "_barnes_log_table", "_egf_exp")
+            assert polypart_bernoulli(a) == bernoulli_route
+        numbers._barnes_log_table.cache_clear()  # the Barnes route must rebuild it unaided
         with monkeypatch.context() as patch:
-            for mod in (numbers, polypart):
-                patch.setattr(mod, "_egf_product", refuse, raising=False)
+            refuse_all(patch, "_truncated_product", "_egf_product", "bernoulli")
+            assert (residues_bernoulli_barnes(a), bernoulli_barnes(3, a)) == barnes_routes
+        with monkeypatch.context() as patch:
+            refuse_all(patch, "_egf_product", "_barnes_log_table", "_egf_exp")
             assert (residues_powersum(a), alpha(3, a, d)) == powersum_routes
 
     @pytest.mark.parametrize("a", [tuple(range(2, 32)), tuple(range(2, 42))])

@@ -54,6 +54,7 @@ class TestReport:
             "d-invariance",
             "polypart-agreement",
             "residue-mean",
+            "series-high-r",
             "fiber-cardinality",
             "zero-characterization",
             "frobenius",
@@ -104,3 +105,19 @@ class TestReport:
         blob = report.to_json()
         assert blob["ok"] is False
         assert blob["failure"]["n"] == "3"
+
+    def test_reports_series_mismatch_at_high_r(self, monkeypatch):
+        # sabotage Bernoulli-Barnes only where the box routes cannot reach
+        real = selfcheck_module.residues_bernoulli_barnes
+
+        def crooked(a):
+            res = real(a)
+            if len(a) < 20:
+                return res
+            return type(res)(values=res.values[:-1] + (res.values[-1] * 2,))
+
+        monkeypatch.setattr(selfcheck_module, "residues_bernoulli_barnes", crooked)
+        report = run_selfcheck(instances=4, max_n=20, seed=77)
+        assert report.failure.check == "series-high-r"
+        assert report.failure.routes == f"bernoulli vs barnes R_{len(report.failure.a)}"
+        assert 20 <= len(report.failure.a) <= 40
