@@ -209,7 +209,7 @@ def make_instance(a: Sequence[int], d_choice: DChoice = "lcm") -> Instance:
             raise ValueError(f"{d} is not a common multiple of {a}")
     else:
         raise ValueError(f"d_choice must be 'lcm', 'product', or an int, got {d_choice!r}")
-    return Instance(a=a, D=d, g=gcd(*a))
+    return Instance(a, d, gcd(*a))
 
 
 def _guard(size: int, max_box: int, what: str = "box-sum histogram length") -> None:

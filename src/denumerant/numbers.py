@@ -1,19 +1,23 @@
 """Exact special-number sequences used by the counting formulas.
 
-No floating point appears anywhere in this package's math.  Bernoulli-Barnes
-numbers up to degree j are the exponential of a series in the r power sums
-sum_i a_i^k, O(r j + j^2) integer operations (`_barnes_log_table`,
-`_egf_exp`); box power sums are read off a product of r ``fractions.Fraction``
-power series (`_truncated_product`), O(r j^2) operations.  `_egf_product`
-multiplies integer exponential generating functions for the polynomial
-part's Bernoulli route, which the tests compare with the Bernoulli-Barnes
-numbers.
+No floating point appears anywhere in this package's math.  Two integer
+series kernels serve the two Bernoulli routes, which the tests compare and
+which share only Pascal's triangle and `_validate_weights`:
+`_egf_product` multiplies exponential generating functions by walking one
+flat table of binomial terms (`_egf_terms`), for the polynomial part's
+r-fold product of Bernoulli series; Bernoulli-Barnes numbers up to degree j
+are the exponential of a series in the r power sums sum_i a_i^k,
+O(r j + j^2) integer operations (`_barnes_log_table`, `_egf_exp`).  Both
+kernels skip zero coefficients, and their per-size tables are cached and
+bounded.  Box power sums are read off a product of r ``fractions.Fraction``
+power series (`_truncated_product`), O(r j^2) operations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb, factorial, lcm, prod
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -108,13 +112,45 @@ def _binomial_rows(n: int) -> list[tuple[int, ...]]:
     return rows[:n]
 
 
+# Pascal's triangle flattened to (k, i, C(k, i)) for k = 0, 1, ... and
+# i = 0..k, so rows 0..n-1 are its first n(n+1)/2 terms; like _PASCAL, a
+# longer table replaces it whole.
+_EGF_TERMS: list[tuple[int, int, int]] = []
+
+
+def _egf_terms(n: int) -> list[tuple[int, int, int]]:
+    """The flat binomial table holding at least rows 0..n-1; read its prefix."""
+    global _EGF_TERMS
+    terms = _EGF_TERMS
+    if len(terms) < n * (n + 1) // 2:
+        rows = _binomial_rows(n)
+        start = terms[-1][0] + 1 if terms else 0
+        terms = terms + [(k, i, c) for k in range(start, n) for i, c in enumerate(rows[k])]
+        _EGF_TERMS = terms
+    return terms
+
+
 def _egf_product(factors: Iterable[Sequence[int]], n: int) -> list[int]:
     """Coefficients 0..n-1 of a product of exponential generating functions,
-    each given by its first n integer coefficients: out_k = sum_i C(k,i) out_i f_{k-i}."""
-    rows = _binomial_rows(n)
-    out = [1] + [0] * (n - 1)
+    each given by at least its first n integer coefficients (the rest are
+    ignored); [1, 0, ..., 0] for no factor.
+
+    The product starts from the first factor; each further factor f takes
+    out_k = sum_i C(k, i) out_i f_{k-i} in one walk over the first
+    n(n+1)/2 terms of `_egf_terms`, skipping every zero f_{k-i}."""
+    factors = iter(factors)
+    first = next(factors, None)
+    if first is None:
+        return [1] + [0] * (n - 1)
+    out, size = list(first[:n]), n * (n + 1) // 2
+    terms = _egf_terms(n)
     for f in factors:
-        out = [sum(map(mul, map(mul, rows[k], out), f[k::-1])) for k in range(n)]
+        new = [0] * n
+        for k, i, c in islice(terms, size):
+            fj = f[k - i]
+            if fj:
+                new[k] += c * out[i] * fj
+        out = new
     return out
 
 
@@ -136,14 +172,14 @@ def _exact_div(total: int, den: int, what: str) -> int:
 
 
 @lru_cache(maxsize=16)
-def _barnes_log_table(n: int) -> tuple[int, tuple[int, ...]]:
-    """s = lcm(1..n)^2 and s lambda_0..s lambda_{n-1}, where lambda_0 = 0,
-    lambda_1 = 1/2 and lambda_k = B_k/k are the EGF coefficients of
-    log((e^t - 1)/t); s clears each denominator, which divides k denom(B_k),
-    and k and denom(B_k) both divide lcm(1..n).
+def _barnes_log_table(n: int) -> tuple[int, int, tuple[int, ...]]:
+    """l = lcm(1..n), s = l^2 and s lambda_0..s lambda_{n-1}, where
+    lambda_0 = 0, lambda_1 = 1/2 and lambda_k = B_k/k are the EGF
+    coefficients of log((e^t - 1)/t); s clears each denominator, which
+    divides k denom(B_k), and k and denom(B_k) both divide l.
 
-    With l = lcm(1..n) the series (e^t - 1)/t is (1/l) sum_k c_k t^k/k!,
-    c_k = l/(k+1), and F' = F lambda' gives, one exact division each,
+    The series (e^t - 1)/t is (1/l) sum_k c_k t^k/k!, c_k = l/(k+1), and
+    F' = F lambda' gives, one exact division each,
     l s lambda_k = s c_k - sum_{j<k} C(k-1, j-1) s lambda_j c_{k-j}.
     Integers only; no Bernoulli numbers."""
     ell = lcm(*range(1, n + 1))
@@ -152,18 +188,27 @@ def _barnes_log_table(n: int) -> tuple[int, tuple[int, ...]]:
     for k in range(1, n):
         num = s * c[k] - sum(map(mul, map(mul, rows[k - 1], log[1:k]), c[k - 1:0:-1]))
         log[k] = _exact_div(num, ell, f"log table {n}, coefficient {k}")
-    return s, tuple(log)
+    return ell, s, tuple(log)
 
 
 def _egf_exp(h: Sequence[int], den: int, g0: int) -> list[int]:
     """g0 times the EGF coefficients 0..len(h)-1 of exp(h/den), for an integer
-    EGF h with h_0 = 0 whose exponential g0 makes integral: g_k is
-    sum_{j=1..k} C(k-1, j-1) h_j g_{k-j} / den (from g' = h' g/den)."""
-    n = len(h)
-    rows, g = _binomial_rows(n), [g0]
-    for k in range(1, n):
-        num = sum(map(mul, map(mul, rows[k - 1], h[1:k + 1]), g[k - 1::-1]))
-        g.append(_exact_div(num, den, f"exponential, coefficient {k}"))
+    EGF h with h_0 = 0 whose exponential g0 makes integral.
+
+    From g' = h' g/den, g_k = sum_{j=1..k} C(k-1, j-1) h_j g_{k-j} / den:
+    row k-1 of Pascal's triangle is summed into one accumulator, skipping
+    every zero h_j, and divided exactly (ArithmeticError on a remainder)."""
+    g = [g0]
+    for row in _binomial_rows(len(h) - 1):
+        k, acc = len(row), 0
+        for j, c in enumerate(row, 1):
+            hj = h[j]
+            if hj:
+                acc += c * hj * g[k - j]
+        q, rem = divmod(acc, den)
+        if rem:
+            raise ArithmeticError(f"exponential, coefficient {k}: {acc} is not divisible by {den}")
+        g.append(q)
     return g
 
 
@@ -172,18 +217,20 @@ def _bernoulli_barnes_upto(n: int, a: Sequence[int]) -> tuple[list[int], int]:
 
     prod_i a_i z/(e^{a_i z} - 1) = exp(-sum_k lambda_k p_k z^k/k!) with the
     power sums p_k = sum_i a_i^k and lambda_k from `_barnes_log_table`, so
-    the weights enter only through p_1..p_{n-1}.  Its z^j EGF coefficient
-    is B_j(a) prod a, a sum of products of at most min(r, j) Bernoulli
+    the weights enter only through p_1..p_{n-1}, read off running powers
+    (and only where lambda_k is not 0).  Its z^j EGF coefficient is
+    B_j(a) prod a, a sum of products of at most min(r, j) Bernoulli
     numbers B_m, m < n, whose denominators divide l = lcm(1..n); so
     v_j = l^min(r, n-1) B_j(a) prod a is an integer.  Cost O(r n + n^2)
-    operations on integers of O(n (min(r, n) + log(n max a))) bits."""
-    a = _validate_weights(a)
-    s, log = _barnes_log_table(n)
-    powers, h = list(a), [0] * n
+    operations on integers of O(n (min(r, n) + log(n max a))) bits.  The
+    weights must already be validated (`_validate_weights`)."""
+    ell, s, log = _barnes_log_table(n)
+    powers, h = a, [0] * n
     for k in range(1, n):
-        h[k] = -log[k] * sum(powers)
-        powers = list(map(mul, powers, a))
-    scale = lcm(*range(1, n + 1)) ** min(len(a), n - 1)
+        if log[k]:
+            h[k] = -log[k] * sum(powers)
+        powers = tuple(map(mul, powers, a))
+    scale = ell ** min(len(a), n - 1)
     return _egf_exp(h, s, scale), scale * prod(a)
 
 
@@ -199,7 +246,7 @@ def bernoulli_barnes(j: int, a: Sequence[int]) -> Fraction:
     """
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
-    v, w = _bernoulli_barnes_upto(j + 1, a)
+    v, w = _bernoulli_barnes_upto(j + 1, _validate_weights(a))
     return Fraction(v[j], w)
 
 

@@ -147,12 +147,15 @@ def p_product(
     """p_a(n) as (1/(r-1)!) * sum over the fiber of n of the rising factorial
     of (n - a.j)/D, one term per distinct weighted sum times its tuple count.
     Pass a prebuilt `index` to amortize fiber construction."""
-    inst, fib = _resolve_fiber(a, n, d_choice, index, max_box)
+    return _product(*_resolve_fiber(a, n, d_choice, index, max_box), n)
+
+
+def _product(inst: Instance, fib: Fiber, n: int) -> int:
     r, d = inst.r, inst.D
     total = 0
     for s, count in zip(fib.sums, fib.counts):
         total += count * rising_factorial_eval((n - s) // d, r)
-    return _exact_div(total, factorial(r - 1), f"p_product{tuple(a), n}")
+    return _exact_div(total, factorial(r - 1), f"p_product{inst.a, n}")
 
 
 @lru_cache(maxsize=16)
@@ -199,7 +202,10 @@ def p_stirling(
     Algebraically identical to :func:`p_product` but follows the power-basis
     form: for each degree m it sums the alternating Stirling kernel over the
     fiber, then evaluates sum_m c_m n^m / ((r-1)! D^{r-1})."""
-    inst, fib = _resolve_fiber(a, n, d_choice, index, max_box)
+    return _stirling(*_resolve_fiber(a, n, d_choice, index, max_box), n)
+
+
+def _stirling(inst: Instance, fib: Fiber, n: int) -> int:
     r, d = inst.r, inst.D
     row = _stirling_row(_stirling_kernel(r, d), zip(fib.sums, fib.counts))
     total = 0
@@ -208,7 +214,7 @@ def p_stirling(
         total += row[m] * npow
         npow *= n
     scale = d ** (r - 1) * factorial(r - 1)
-    return _exact_div(total, scale, f"p_stirling{tuple(a), n}")
+    return _exact_div(total, scale, f"p_stirling{inst.a, n}")
 
 
 def quasipoly(
@@ -298,9 +304,17 @@ def p_floorsum(a: Sequence[int], n: int) -> int:
     floor(m beta/a1) + floor(-m t/a2) + 1, and summing it over
     m = n - c z for z < Z = floor(n/c) + 1 gives Z plus two floor sums."""
     _check_n(n)
-    inst = make_instance(a)
+    return _floorsum_route(make_instance(a))(n)
+
+
+def _floorsum_route(inst: Instance, *_):
+    """n -> p_a(n) by floor sums, on the weights of `inst`, which must be three."""
     if inst.r != 3:
         raise ValueError(f"p_floorsum needs exactly three weights, got {inst.a}")
+    return partial(_floorsum, inst)
+
+
+def _floorsum(inst: Instance, n: int) -> int:
     g = inst.g
     if n % g:
         return 0
@@ -346,10 +360,13 @@ def p_unrestricted(n: int, max_box: int = DEFAULT_MAX_BOX) -> int:
     return p_product(a, n, lcm(*a), max_box=max_box)
 
 
-def _fiber_route(fn, inst: Instance, n_max: int, max_box: int, several: bool):
-    """Route `fn` on one fiber per n, from the fiber index if `several` n share it."""
-    index = build_fiber_index(inst, max_box) if several else None
-    return lambda n: fn(inst.a, n, inst.D, index=index, max_box=max_box)
+def _fiber_route(core, inst: Instance, n_max: int, max_box: int, several: bool):
+    """`core` (`_product` or `_stirling`) on the fiber of each n, read from
+    the fiber index if `several` n share it."""
+    if several:
+        index = build_fiber_index(inst, max_box)
+        return lambda n: core(inst, index.fiber(n), n)
+    return lambda n: core(inst, fiber(inst, n, max_box), n)
 
 
 def _popoviciu_route(inst: Instance, n_max: int, max_box: int, several: bool):
@@ -368,10 +385,10 @@ _ROUTES = {
     "popoviciu": ((lambda inst: (inst.r, inst.g) == (2, 1), "exactly two coprime weights; got a={a} with gcd {g}"),
                   lambda inst, n: 0 if inst.r == 2 else None, _popoviciu_route),
     "floorsum": ((lambda inst: inst.r == 3, "exactly three weights; got a={a}"),
-                 lambda inst, n: 0 if inst.r == 3 else None, lambda inst, *_: partial(p_floorsum, inst.a)),
+                 lambda inst, n: 0 if inst.r == 3 else None, _floorsum_route),
     "product": (None, lambda inst, n: 0 if inst.r == 1 else inst.histogram_length,
-                partial(_fiber_route, p_product)),
-    "stirling": (None, None, partial(_fiber_route, p_stirling)),
+                partial(_fiber_route, _product)),
+    "stirling": (None, None, partial(_fiber_route, _stirling)),
     "quasipoly": (None, None, lambda inst, n_max, max_box, _: partial(
         p_quasipoly, quasipoly(inst.a, inst.D, max_box=max_box))),
     "oracle": (None, lambda inst, n: n + 1, lambda inst, n_max, max_box, _: p_oracle_upto(

@@ -13,6 +13,7 @@ sum, with the Stirling kernel that also builds the quasi-polynomial table.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm, prod
 from typing import Sequence
 
@@ -24,7 +25,7 @@ from .congruence import (
     build_fiber_index,
     make_instance,
 )
-from .numbers import _alpha_upto, _bernoulli_barnes_upto, _egf_product, bernoulli
+from .numbers import _alpha_upto, _bernoulli_barnes_upto, _egf_product, _validate_weights, bernoulli
 from .partition import _check_index, _stirling_kernel, _stirling_row
 
 __all__ = [
@@ -82,10 +83,10 @@ class ResidueVector(_Value):
 
 
 def _leading_check(coeffs: Sequence[Fraction], a: Sequence[int], what: str) -> None:
-    expect = Fraction(1, factorial(len(a) - 1) * prod(a))
-    if coeffs[-1] != expect:
+    lead, den = coeffs[-1], factorial(len(a) - 1) * prod(a)
+    if lead.numerator != 1 or lead.denominator != den:
         raise ArithmeticError(
-            f"{what}: leading coefficient {coeffs[-1]} != {expect} for {tuple(a)}"
+            f"{what}: leading coefficient {lead} != {Fraction(1, den)} for {tuple(a)}"
         )
 
 
@@ -115,6 +116,20 @@ def polypart_box_average(
     return RationalPolynomial(coeffs=coeffs)
 
 
+@lru_cache(maxsize=16)
+def _bernoulli_series(r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """M B_0..M B_{r-1}, with M the lcm of their denominators, and the
+    denominators (-1)^u u! (r-1-u)! M^r of :func:`polypart_bernoulli`'s
+    coefficients of n^0..n^{r-1} (u = r-1 down to 0), short of prod a."""
+    bs = [bernoulli(k) for k in range(r)]
+    m = lcm(*(b.denominator for b in bs))
+    mr = m**r
+    return (
+        tuple(b.numerator * (m // b.denominator) for b in bs),
+        tuple((-1) ** u * factorial(u) * factorial(r - 1 - u) * mr for u in range(r - 1, -1, -1)),
+    )
+
+
 def polypart_bernoulli(a: Sequence[int]) -> RationalPolynomial:
     """P_a(n) from Bernoulli numbers alone; no box.
 
@@ -123,18 +138,19 @@ def polypart_bernoulli(a: Sequence[int]) -> RationalPolynomial:
     (O(r^3) integer operations), the n^{r-1-u} coefficient is
     (-1)^u h_u / (u! (r-1-u)! M^r prod a).
     """
-    inst = make_instance(a)
-    r = inst.r
-    bs = [bernoulli(k) for k in range(r)]
-    m = lcm(*(b.denominator for b in bs))
-    bs = [b.numerator * (m // b.denominator) for b in bs]
-    h = _egf_product(([b * ai**k for k, b in enumerate(bs)] for ai in inst.a), r)
-    den = m**r * prod(inst.a)
-    coeffs = tuple(
-        Fraction(-h[u] if u & 1 else h[u], factorial(u) * factorial(r - 1 - u) * den)
-        for u in range(r - 1, -1, -1)
-    )
-    _leading_check(coeffs, inst.a, "polypart_bernoulli")
+    a = _validate_weights(a)
+    r = len(a)
+    bs, dens = _bernoulli_series(r)
+    factors = []
+    for ai in a:  # M B_k a_i^k from running powers of a_i
+        f, x = [], 1
+        for b in bs:
+            f.append(b * x)
+            x *= ai
+        factors.append(f)
+    h, w = _egf_product(factors, r), prod(a)
+    coeffs = tuple(Fraction(hu, den * w) for hu, den in zip(reversed(h), dens))
+    _leading_check(coeffs, a, "polypart_bernoulli")
     return RationalPolynomial(coeffs=coeffs)
 
 
@@ -155,6 +171,13 @@ def residues_powersum(a: Sequence[int], d_choice: DChoice = "lcm") -> ResidueVec
     ))
 
 
+@lru_cache(maxsize=16)
+def _barnes_denominators(r: int) -> tuple[int, ...]:
+    """(-1)^j j! (r-1-j)! for j = r-1 down to 0: the signed denominators of
+    R_1..R_r in :func:`residues_bernoulli_barnes`, short of the common one."""
+    return tuple((-1) ** j * factorial(j) * factorial(r - 1 - j) for j in range(r - 1, -1, -1))
+
+
 def residues_bernoulli_barnes(a: Sequence[int]) -> ResidueVector:
     """R_m = ((-1)^{r-m}/((m-1)!(r-m)!)) * B_{r-m}(a_1,...,a_r), reading
     B_0(a)..B_{r-1}(a) off the exponential of one series in the power sums
@@ -165,11 +188,10 @@ def residues_bernoulli_barnes(a: Sequence[int]) -> ResidueVector:
     Bernoulli-Barnes numbers; dropping it inflates R_m by exactly that
     factor for r - m >= 2 (easily seen on a = (1,1,1), whose residues can be
     read straight off p(n) = (n^2+3n+2)/2)."""
-    inst = make_instance(a)
-    r = inst.r
-    barnes, w = _bernoulli_barnes_upto(r, inst.a)
+    a = _validate_weights(a)
+    barnes, w = _bernoulli_barnes_upto(len(a), a)
     return ResidueVector(values=tuple(  # R_m for m = r - j
-        Fraction((-1) ** j * barnes[j], w * factorial(r - 1 - j) * factorial(j)) for j in range(r - 1, -1, -1)
+        Fraction(v, den * w) for v, den in zip(reversed(barnes), _barnes_denominators(len(a)))
     ))
 
 

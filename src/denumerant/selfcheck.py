@@ -5,8 +5,8 @@ budget, so runs stay fast and deterministic) and checks that every
 independent computation route agrees exactly: counting routes against the DP
 oracle, the triple route also against Popoviciu at n >= 10^20 by the deletion
 identity, polynomial parts and residues against each other (the two series
-routes also at r = 20..40), fiber cardinality against its closed form, and
-Frobenius values against a representability scan.  The first mismatch is
+routes also at r = 5..12 and 20..40), fiber cardinality against its closed
+form, and Frobenius values against a representability scan.  The first mismatch is
 reported with the minimal failing (a, n, route-pair).
 """
 
@@ -315,13 +315,15 @@ def run_selfcheck(
             cases += 1
     passed("residue-mean", cases)
 
-    # The two series routes at r = 20..40, where the box is out of reach: the
-    # Bernoulli route multiplies r series of Bernoulli numbers, the
-    # Bernoulli-Barnes route exponentiates the power sums of the weights.
+    # The two series routes past the pool's max_r, where the box is out of
+    # reach: 3 tuples at r = 20..40, then 6 at r = 5..12, the sizes the
+    # benchmark times.  The Bernoulli route multiplies r series of Bernoulli
+    # numbers, the Bernoulli-Barnes route exponentiates the power sums of
+    # the weights.
     cases = 0
     rng = random.Random(seed + 6)
-    for _ in range(3):
-        a = tuple(rng.randint(1, max_entry) for _ in range(rng.randint(20, 40)))
+    for low, high in [(20, 40)] * 3 + [(5, 12)] * 6:
+        a = tuple(rng.randint(1, max_entry) for _ in range(rng.randint(low, high)))
         bern, barnes = polypart_bernoulli(a).coeffs, residues_bernoulli_barnes(a).values
         if bern != barnes:
             m = next(m for m in range(1, len(a) + 1) if bern[m - 1] != barnes[m - 1])

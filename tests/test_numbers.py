@@ -3,15 +3,16 @@
 Oracles here avoid the library's code paths: power sums by direct loops,
 box power sums by direct box enumeration, Bernoulli-Barnes numbers by the
 product of Bernoulli-number series (the library exponentiates a series in
-the power sums of the weights and uses no Bernoulli numbers), and both
+the power sums of the weights and uses no Bernoulli numbers), both
 Bernoulli-Barnes numbers and box power sums by the multinomial sums over
-compositions that the library's power series replace.
+compositions that the library's power series replace, and the two integer
+series kernels by plain loops over the binomial convolution.
 """
 
 import itertools
 import tracemalloc
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,9 @@ from denumerant import (
     bernoulli,
     bernoulli_barnes,
     numbers,
+    polypart,
     polypart_bernoulli,
+    residues_bernoulli_barnes,
     rising_factorial_coeffs,
     rising_factorial_eval,
 )
@@ -234,10 +237,83 @@ class TestBernoulliBarnes:
             tracemalloc.stop()
         assert numbers._barnes_log_table.cache_info().currsize <= 16
         assert held < 2 * 10**6
+        # the two series routes keep a per-r cache each, and the Bernoulli
+        # route a flat binomial term table that holds whole rows 0..K-1 of
+        # Pascal's triangle for the largest size asked for, K = 40 here
+        # unless an earlier test asked for more
+        before = len(numbers._EGF_TERMS)
+        for r in range(1, 41):
+            a = tuple(range(1, r + 1))
+            assert polypart_bernoulli(a).coeffs == residues_bernoulli_barnes(a).values
+        for cache in (polypart._bernoulli_series, polypart._barnes_denominators, numbers._barnes_log_table):
+            assert cache.cache_info().currsize <= 16
+        terms = numbers._EGF_TERMS
+        rows = terms[-1][0] + 1
+        assert len(terms) == max(before, 40 * 41 // 2) == rows * (rows + 1) // 2
+        assert terms == [(k, i, comb(k, i)) for k in range(rows) for i in range(k + 1)]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             bernoulli_barnes(1, ())
+
+
+def egf_product_reference(factors, n):
+    """out_k = sum_i C(k, i) out_i f_{k-i}, one factor at a time from [1, 0, ...]."""
+    out = [1] + [0] * (n - 1)
+    for f in factors:
+        new = [0] * n
+        for k in range(n):
+            for i in range(k + 1):
+                new[k] += comb(k, i) * out[i] * f[k - i]
+        out = new
+    return out
+
+
+def egf_exp_reference(h, den, g0):
+    """g0 times exp(h/den) as sum_m (h/den)^m / m!, each power an EGF product
+    in rationals; h_0 = 0, so powers m >= len(h) add nothing."""
+    n = len(h)
+    x = [Fraction(c, den) for c in h]
+    power, total = [Fraction(1)] + [Fraction(0)] * (n - 1), [Fraction(0)] * n
+    for m in range(n):
+        total = [t + p / factorial(m) for t, p in zip(total, power)]
+        power = [sum(comb(k, i) * power[i] * x[k - i] for i in range(k + 1)) for k in range(n)]
+    return [g0 * t for t in total]
+
+
+class TestSeriesKernels:
+    """`_egf_product` and `_egf_exp` against plain loops over the binomial
+    convolution, on signed integer series with many zeros."""
+
+    coefficient = st.one_of(st.just(0), st.integers(-10, 10), st.integers(-(10**30), 10**30))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_product_matches_reference(self, data):
+        n = data.draw(st.integers(1, 12))
+        factors = data.draw(st.lists(st.lists(self.coefficient, min_size=n, max_size=n + 3), max_size=6))
+        assert numbers._egf_product(factors, n) == egf_product_reference(factors, n)
+        assert numbers._egf_product(iter(factors), n) == egf_product_reference(factors, n)
+
+    def test_product_edge_cases(self):
+        assert numbers._egf_product([], 4) == [1, 0, 0, 0]
+        assert numbers._egf_product([[5, 6, 7, 8, 9]], 3) == [5, 6, 7]  # truncated to n
+        # e^z e^z = e^{2z}
+        assert numbers._egf_product([[1] * 6, [1] * 6], 6) == [2**k for k in range(6)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_exp_matches_reference(self, data):
+        n = data.draw(st.integers(1, 12))
+        h = [0] + data.draw(st.lists(self.coefficient, min_size=n - 1, max_size=n - 1))
+        den = data.draw(st.integers(1, 50))
+        g0 = den ** (n - 1) * data.draw(st.integers(-5, 5))  # makes every coefficient integral
+        assert numbers._egf_exp(h, den, g0) == egf_exp_reference(h, den, g0)
+
+    def test_exp_refuses_inexact_division(self):
+        assert numbers._egf_exp([0, 1, 0, 0], 1, 1) == [1, 1, 1, 1]  # e^z
+        with pytest.raises(ArithmeticError):
+            numbers._egf_exp([0, 1], 2, 1)
 
 
 class TestAlpha:

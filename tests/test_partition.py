@@ -571,9 +571,13 @@ def test_evaluator_matches_oracle(route, a, several, monkeypatch):
 
 
 def test_evaluator_refuses_what_it_cannot_answer():
-    # no name falls through to another route, and popoviciu reads no third weight
+    # no name falls through to another route, popoviciu reads no third weight
+    # and floorsum no fourth
     with pytest.raises(KeyError):
         partition._evaluator("magic", make_instance((2, 3, 5)), 10, 100)
     for a in [(5,), (2, 3, 5)]:
         with pytest.raises(ValueError):
             partition._evaluator("popoviciu", make_instance(a), 10, 100)
+    for a in [(5,), (2, 3), (2, 3, 5, 7)]:
+        with pytest.raises(ValueError):
+            partition._evaluator("floorsum", make_instance(a), 10, 100)

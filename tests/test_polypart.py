@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denumerant import (
     format_polynomial,
@@ -157,12 +159,27 @@ class TestHighR:
 
 class TestIntegerSeries:
     """The Bernoulli route multiplies integer EGFs of Bernoulli numbers with
-    `_egf_product`; the Bernoulli-Barnes route exponentiates a series in the
-    power sums of the weights (`_barnes_log_table`, `_egf_exp`) and calls
-    neither `_egf_product` nor `bernoulli`; only the power-sum route keeps
+    `_egf_product`, which walks the flat binomial term table `_egf_terms`,
+    and caches its scaled Bernoulli numbers and denominators per r
+    (`_bernoulli_series`).  The Bernoulli-Barnes route exponentiates a
+    series in the power sums of the weights (`_barnes_log_table`,
+    `_egf_exp`) and caches its signed denominators per r
+    (`_barnes_denominators`); it touches none of the Bernoulli route's
+    helpers, nor `bernoulli`.  The two share only Pascal's triangle and
+    `_validate_weights`.  Only the power-sum route keeps
     `_truncated_product`.  All but the last work in integers."""
 
     TUPLES = [(3, 4, 9, 10), tuple(range(2, 14))]
+    BERNOULLI_ONLY = ("_egf_product", "_egf_terms", "_bernoulli_series")
+    BARNES_ONLY = ("_barnes_log_table", "_egf_exp", "_barnes_denominators")
+
+    @staticmethod
+    def clear_caches(patch):
+        # every per-size table of the two routes, rebuilt on the next call
+        numbers._barnes_log_table.cache_clear()
+        polypart._bernoulli_series.cache_clear()
+        polypart._barnes_denominators.cache_clear()
+        patch.setattr(numbers, "_EGF_TERMS", [])
 
     @pytest.mark.parametrize("a", TUPLES)
     def test_no_fraction_arithmetic(self, a, monkeypatch):
@@ -172,7 +189,7 @@ class TestIntegerSeries:
         def refuse(*args):
             raise AssertionError("Fraction arithmetic in a Bernoulli series")
 
-        numbers._barnes_log_table.cache_clear()  # rebuilt under the patch below
+        self.clear_caches(monkeypatch)  # rebuilt under the patch below
         for name in ("add", "sub", "mul", "truediv"):
             monkeypatch.setattr(Fraction, f"__{name}__", refuse)
             monkeypatch.setattr(Fraction, f"__r{name}__", refuse)
@@ -194,16 +211,25 @@ class TestIntegerSeries:
                 for name in names:
                     patch.setattr(mod, name, refuse, raising=False)
 
+        # each route rebuilds its own caches unaided
         with monkeypatch.context() as patch:
-            refuse_all(patch, "_truncated_product", "_barnes_log_table", "_egf_exp")
+            self.clear_caches(patch)
+            refuse_all(patch, "_truncated_product", *self.BARNES_ONLY)
             assert polypart_bernoulli(a) == bernoulli_route
-        numbers._barnes_log_table.cache_clear()  # the Barnes route must rebuild it unaided
         with monkeypatch.context() as patch:
-            refuse_all(patch, "_truncated_product", "_egf_product", "bernoulli")
+            self.clear_caches(patch)
+            refuse_all(patch, "_truncated_product", "bernoulli", *self.BERNOULLI_ONLY)
             assert (residues_bernoulli_barnes(a), bernoulli_barnes(3, a)) == barnes_routes
         with monkeypatch.context() as patch:
-            refuse_all(patch, "_egf_product", "_barnes_log_table", "_egf_exp")
+            refuse_all(patch, *self.BERNOULLI_ONLY, *self.BARNES_ONLY)
             assert (residues_powersum(a), alpha(3, a, d)) == powersum_routes
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.integers(1, 4), st.integers(1, 40)), min_size=1, max_size=12))
+    def test_routes_agree_random(self, a):
+        # small weights make repeats and 1s common
+        a = tuple(a)
+        assert polypart_bernoulli(a).coeffs == residues_bernoulli_barnes(a).values
 
     @pytest.mark.parametrize("a", [tuple(range(2, 32)), tuple(range(2, 42))])
     def test_routes_agree_at_large_r(self, a):

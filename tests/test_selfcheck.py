@@ -121,3 +121,19 @@ class TestReport:
         assert report.failure.check == "series-high-r"
         assert report.failure.routes == f"bernoulli vs barnes R_{len(report.failure.a)}"
         assert 20 <= len(report.failure.a) <= 40
+
+    def test_reports_series_mismatch_at_middle_r(self, monkeypatch):
+        # sabotage Bernoulli-Barnes only at r = 5..12, past the pool's max_r
+        real = selfcheck_module.residues_bernoulli_barnes
+
+        def crooked(a):
+            res = real(a)
+            if not 5 <= len(a) <= 12:
+                return res
+            return type(res)(values=(res.values[0] + 1,) + res.values[1:])
+
+        monkeypatch.setattr(selfcheck_module, "residues_bernoulli_barnes", crooked)
+        report = run_selfcheck(instances=4, max_n=20, seed=77)
+        assert report.failure.check == "series-high-r"
+        assert report.failure.routes == "bernoulli vs barnes R_1"
+        assert 5 <= len(report.failure.a) <= 12
